@@ -73,6 +73,7 @@ from .stats import (
     compare_methods,
     min_eigenvalue_statistic,
     resample_indices,
+    resample_values,
     three_bin_statistic,
     violation_bin,
     violation_moment,

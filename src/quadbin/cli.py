@@ -2,7 +2,9 @@
 
 Results go to stdout as a single JSON object; bulk tables go to CSV files.
 Every run echoes its fully resolved configuration (built-in defaults, then a
---config JSON file, then explicit flags) into the output. Exit codes:
+--config JSON file, then explicit flags) into the output. Every option is
+declared once, in the OPTIONS table with its type, built-in default and help;
+the COMMANDS table lists each subcommand's options. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure. Errors also emit a
 machine-readable JSON object on stderr.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,13 +29,7 @@ from .data import (
     simulation_params,
     write_csv,
 )
-from .detect import (
-    analytic_three_bin_R,
-    moment_matrix,
-    moment_matrix_from_moments,
-    normally_ordered_moments,
-    three_bin_R,
-)
+from .detect import analytic_three_bin_R, moment_matrix, three_bin_R
 from .errors import CsvFormatError, EigensolverError, EstimationError, UndefinedStatisticError
 from .estimate import (
     db_from_variance,
@@ -48,7 +46,8 @@ from .stats import (
     BootstrapSpec,
     bootstrap,
     compare_methods,
-    resample_indices,
+    min_eigenvalue_statistic,
+    resample_values,
     three_bin_statistic,
     violation_bin,
 )
@@ -79,23 +78,21 @@ def _fail(code: int, exc: BaseException) -> int:
     return code
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Layer built-in defaults, config-file values and explicit flags."""
+def _resolve(args, command: Command) -> dict:
+    """Layer built-in defaults, config-file values and explicit flags; check required options."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     out = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
+    for key in command.options:
+        flag_value = getattr(args, key)
+        default = command.defaults.get(key, OPTIONS[key][1])
         out[key] = flag_value if flag_value is not None else cfg.get(key, default)
-    return out
-
-
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) is None]
+    missing = [k for k in command.required if out[k] is None]
     if missing:
         raise UsageError("missing required option(s): " + ", ".join("--" + k.replace("_", "-") for k in missing))
+    return out
 
 
 def _bootstrap_spec(resolved: dict, pool: int) -> BootstrapSpec:
@@ -110,24 +107,25 @@ def _biased_variance(x: np.ndarray) -> float:
     return float((d**2).mean())
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def _write_table(path: str, columns: list[str], rows) -> None:
+    """Write dict rows as CSV: numbers by repr, flags as 0/1, missing cells empty."""
+    lines = [",".join(columns)] + [",".join(_cell(row.get(c)) for c in columns) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------- simulate
 
-SIMULATE_OPTS = {
-    "r": None,
-    "target_db": None,
-    "loss": 0.0,
-    "delta": 0.0,
-    "n": 10_000,
-    "seed": 0,
-    "phase_window": 0.0,
-    "center": 0.0,
-    "out": None,
-}
 
-
-def cmd_simulate(args) -> dict:
-    cfg = _resolve(args, SIMULATE_OPTS)
-    _require(cfg, "out")
+def cmd_simulate(cfg: dict) -> dict:
     if (cfg["r"] is None) == (cfg["target_db"] is None):
         raise UsageError("exactly one of --r and --target-db is required")
     if cfg["r"] is None:
@@ -147,16 +145,6 @@ def cmd_simulate(args) -> dict:
 
 
 # ---------------------------------------------------------------- three-bin
-
-THREE_BIN_OPTS = {
-    "in_path": None,
-    "sigma": 1.0,
-    "d": 1,
-    "bootstrap": 100,
-    "resample_size": None,
-    "mode": SUBSAMPLE,
-    "seed": 0,
-}
 
 
 def _three_bin_row(data: Dataset, sigma: float, d: int, spec: BootstrapSpec) -> dict:
@@ -180,9 +168,7 @@ def _three_bin_row(data: Dataset, sigma: float, d: int, spec: BootstrapSpec) -> 
     }
 
 
-def cmd_three_bin(args) -> dict:
-    cfg = _resolve(args, THREE_BIN_OPTS)
-    _require(cfg, "in_path")
+def cmd_three_bin(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     row = _three_bin_row(data, float(cfg["sigma"]), int(cfg["d"]), spec)
@@ -192,62 +178,35 @@ def cmd_three_bin(args) -> dict:
 
 # ---------------------------------------------------------------- sweep-sigma
 
-SWEEP_OPTS = {
-    "in_path": None,
-    "sigma_from": 0.2,
-    "sigma_to": 3.0,
-    "steps": 15,
-    "d": 1,
-    "bootstrap": 100,
-    "resample_size": None,
-    "mode": SUBSAMPLE,
-    "seed": 0,
-    "out": None,
-}
 
-
-def cmd_sweep_sigma(args) -> dict:
-    cfg = _resolve(args, SWEEP_OPTS)
-    _require(cfg, "in_path", "out")
+def cmd_sweep_sigma(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     steps = int(cfg["steps"])
     if steps < 1:
         raise UsageError("--steps must be >= 1")
-    sigmas = np.linspace(float(cfg["sigma_from"]), float(cfg["sigma_to"]), steps)
+    sigmas = [float(s) for s in np.linspace(float(cfg["sigma_from"]), float(cfg["sigma_to"]), steps)]
     d = int(cfg["d"])
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
 
     # one shared resample stream so neighbouring sigma values are paired
-    values = np.empty((steps, spec.n_resamples))
-    stats = [three_bin_statistic(float(s), d) for s in sigmas]
-    for b in range(spec.n_resamples):
-        xs = data.x[resample_indices(spec, data.n, b)]
-        for i, stat in enumerate(stats):
-            values[i, b] = stat(xs)[0]
+    stats = [three_bin_statistic(s, d) for s in sigmas]
+    values, _ = resample_values(spec, [data.x], [0], lambda xs: ([stat(xs)[0] for stat in stats], False))
 
     rows = []
-    for i, s in enumerate(sigmas):
-        mean = float(values[i].mean())
-        std = float(values[i].std())
+    for s, row in zip(sigmas, values):
+        mean = float(row.mean())
         rows.append(
             {
-                "sigma": float(s),
+                "sigma": s,
                 "r_mean": mean,
-                "r_std": std,
-                "analytic": analytic_three_bin_R(dist, float(s), d) if dist is not None else None,
+                "r_std": float(row.std()),
+                "r_analytic": analytic_three_bin_R(dist, s, d) if dist is not None else None,
                 "nonclassical": mean < 1.0,
             }
         )
-    lines = ["sigma,r_mean,r_std,r_analytic,nonclassical"]
-    for row in rows:
-        analytic = "" if row["analytic"] is None else repr(row["analytic"])
-        lines.append(
-            f"{row['sigma']!r},{row['r_mean']!r},{row['r_std']!r},{analytic},{int(row['nonclassical'])}"
-        )
-    with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(cfg["out"], ["sigma", "r_mean", "r_std", "r_analytic", "nonclassical"], rows)
     best = min(rows, key=lambda row: row["r_mean"])
     return {
         "out": cfg["out"],
@@ -262,36 +221,20 @@ def cmd_sweep_sigma(args) -> dict:
 
 # ---------------------------------------------------------------- moments
 
-MOMENTS_OPTS = {
-    "in_path": None,
-    "n_max": 6,
-    "bootstrap": 100,
-    "resample_size": None,
-    "mode": SUBSAMPLE,
-    "seed": 0,
-}
 
-
-def cmd_moments(args) -> dict:
-    cfg = _resolve(args, MOMENTS_OPTS)
-    _require(cfg, "in_path")
+def cmd_moments(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     n_max = int(cfg["n_max"])
     if not 2 <= n_max <= 8:
         raise UsageError("--n-max must lie in [2, 8]")
     spec = _bootstrap_spec(cfg, data.n)
-    orders = list(range(2, n_max + 1))
-    lam = {n: np.empty(spec.n_resamples) for n in orders}
-    for b in range(spec.n_resamples):
-        xs = data.x[resample_indices(spec, data.n, b)]
-        moms = normally_ordered_moments(xs, 2 * n_max - 2)
-        for n in orders:
-            lam[n][b] = moment_matrix_from_moments(moms, n).lambda_min
+    orders = range(2, n_max + 1)
+    lam, _ = resample_values(spec, [data.x], [0], min_eigenvalue_statistic(*orders))
     rows = []
-    for n in orders:
+    for n, row in zip(orders, lam):
         point = moment_matrix(data, n)
-        mean = float(lam[n].mean())
-        std = float(lam[n].std())
+        mean = float(row.mean())
+        std = float(row.std())
         rows.append(
             {
                 "n": n,
@@ -307,38 +250,25 @@ def cmd_moments(args) -> dict:
 
 # ---------------------------------------------------------------- estimate
 
-ESTIMATE_OPTS = {
-    "in_x": None,
-    "in_p": None,
-    "bootstrap": 100,
-    "resample_size": None,
-    "mode": REPLACEMENT,
-    "seed": 0,
-}
+
+def _estimate_statistic(data_x: Dataset, data_p: Dataset) -> tuple[list[float], bool]:
+    """(r, loss, delta) of one paired resample; flagged when the inversion fails."""
+    try:
+        pb = estimate_params(summarize(data_x, data_p))
+    except (EstimationError, ValueError):
+        return [np.nan] * 3, True
+    return [pb.r, pb.loss, pb.delta], False
 
 
-def cmd_estimate(args) -> dict:
-    cfg = _resolve(args, ESTIMATE_OPTS)
-    _require(cfg, "in_x", "in_p")
+def cmd_estimate(cfg: dict) -> dict:
     data_x = read_csv(cfg["in_x"])
     data_p = read_csv(cfg["in_p"])
     summary = summarize(data_x, data_p)
     params = estimate_params(summary)
     spec = _bootstrap_spec(cfg, min(data_x.n, data_p.n))
-    draws = {"r": [], "l": [], "delta": []}
-    flagged = 0
-    for b in range(spec.n_resamples):
-        ix = resample_indices(spec, data_x.n, b, stream=1)
-        ip = resample_indices(spec, data_p.n, b, stream=2)
-        try:
-            pb = estimate_params(summarize(Dataset(data_x.theta[ix], data_x.x[ix]), Dataset(data_p.theta[ip], data_p.x[ip])))
-        except (EstimationError, ValueError):
-            flagged += 1
-            continue
-        draws["r"].append(pb.r)
-        draws["l"].append(pb.loss)
-        draws["delta"].append(pb.delta)
-    stds = {k: (float(np.std(v)) if v else None) for k, v in draws.items()}
+    draws, failed = resample_values(spec, [data_x, data_p], [1, 2], _estimate_statistic)
+    # failed draws are dropped from the spread
+    std_r, std_l, std_delta = (None if failed.all() else float(row[~failed].std()) for row in draws)
     residuals = {
         "var_x": abs(diffused_variance(params, "x") - summary.var_x) / summary.var_x,
         "var_p": abs(diffused_variance(params, "p") - summary.var_p) / summary.var_p,
@@ -348,26 +278,22 @@ def cmd_estimate(args) -> dict:
         "r": params.r,
         "l": params.loss,
         "delta": params.delta,
-        "std_r": stds["r"],
-        "std_l": stds["l"],
-        "std_delta": stds["delta"],
+        "std_r": std_r,
+        "std_l": std_l,
+        "std_delta": std_delta,
         "var_x_db": db_from_variance(summary.var_x),
         "var_p_db": db_from_variance(summary.var_p),
         "residuals": residuals,
         "summary": {"var_x": summary.var_x, "var_p": summary.var_p, "kurt_x": summary.kurt_x},
-        "n_flagged": flagged,
+        "n_flagged": int(failed.sum()),
         "config": cfg,
     }
 
 
 # ---------------------------------------------------------------- ep
 
-EP_OPTS = {"r": None, "loss": 0.0, "delta": 0.0, "cutoff": 10}
 
-
-def cmd_ep(args) -> dict:
-    cfg = _resolve(args, EP_OPTS)
-    _require(cfg, "r")
+def cmd_ep(cfg: dict) -> dict:
     params = StateParams(cfg["r"], cfg["loss"], cfg["delta"])
     state = state_from_params(params, int(cfg["cutoff"]))
     return {
@@ -381,23 +307,8 @@ def cmd_ep(args) -> dict:
 
 # ---------------------------------------------------------------- compare
 
-COMPARE_OPTS = {
-    "in_path": None,
-    "sigma": 1.0,
-    "d": 1,
-    "n_list": "2,3,4,5,6",
-    "bootstrap": 100,
-    "resample_size": None,
-    "mode": SUBSAMPLE,
-    "seed": 0,
-    "cutoff": 10,
-    "out": None,
-}
 
-
-def cmd_compare(args) -> dict:
-    cfg = _resolve(args, COMPARE_OPTS)
-    _require(cfg, "in_path")
+def cmd_compare(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     orders = [int(tok) for tok in str(cfg["n_list"]).split(",") if tok.strip()]
     spec = _bootstrap_spec(cfg, data.n)
@@ -407,25 +318,8 @@ def cmd_compare(args) -> dict:
     if params is not None:
         ep = entanglement_potential(state_from_params(params, int(cfg["cutoff"])))
     if cfg["out"]:
-        lines = ["method,sigma,d,n,mean,std,v,n_flagged"]
-        for rep in reports:
-            p = rep.params
-            lines.append(
-                ",".join(
-                    [
-                        rep.method,
-                        repr(p.get("sigma", "")) if "sigma" in p else "",
-                        str(p.get("d", "")),
-                        str(p.get("n", "")),
-                        repr(rep.mean),
-                        repr(rep.std),
-                        repr(rep.v),
-                        str(rep.n_flagged),
-                    ]
-                )
-            )
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = ["method", "sigma", "d", "n", "mean", "std", "v", "n_flagged"]
+        _write_table(cfg["out"], columns, ({**rep.params, **rep.to_json_dict()} for rep in reports))
     return {
         "delta": params.delta if params is not None else None,
         "reports": [rep.to_json_dict() for rep in reports],
@@ -436,24 +330,15 @@ def cmd_compare(args) -> dict:
 
 # ---------------------------------------------------------------- inject / select
 
-INJECT_OPTS = {"in_path": None, "delta_e": None, "seed": 0, "out": None}
 
-
-def cmd_inject(args) -> dict:
-    cfg = _resolve(args, INJECT_OPTS)
-    _require(cfg, "in_path", "delta_e", "out")
+def cmd_inject(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     noisy = inject_phase_noise(data, float(cfg["delta_e"]), int(cfg["seed"]))
     write_csv(noisy, cfg["out"])
     return {"n": noisy.n, "delta_e": float(cfg["delta_e"]), "out": cfg["out"], "config": cfg}
 
 
-SELECT_OPTS = {"in_path": None, "center": 0.0, "half_width": None, "out": None}
-
-
-def cmd_select(args) -> dict:
-    cfg = _resolve(args, SELECT_OPTS)
-    _require(cfg, "in_path", "half_width", "out")
+def cmd_select(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     kept = select_phase_window(data, float(cfg["center"]), float(cfg["half_width"]))
     write_csv(kept, cfg["out"])
@@ -467,104 +352,120 @@ def cmd_select(args) -> dict:
     }
 
 
+# ---------------------------------------------------------------- option table
+
+# key: (argparse type, or a tuple of choices; built-in default; help)
+OPTIONS = {
+    "in_path": (str, None, "input CSV"),
+    "in_x": (str, None, "squeezing-axis (x) input CSV"),
+    "in_p": (str, None, "anti-squeezing-axis (p) input CSV"),
+    "out": (str, None, "CSV output path"),
+    "r": (float, None, "squeezing parameter"),
+    "target_db": (float, None, "target squeezing-axis variance in dB"),
+    "loss": (float, 0.0, "loss fraction in [0, 1)"),
+    "delta": (float, 0.0, "phase-diffusion spread (rad)"),
+    "n": (int, 10_000, "number of records"),
+    "seed": (int, 0, "master seed"),
+    "phase_window": (float, 0.0, "half-width of a uniform phase scan (rad)"),
+    "center": (float, 0.0, "nominal measurement phase (rad)"),
+    "sigma": (float, 1.0, "bin width"),
+    "d": (int, 1, "bin distance"),
+    "sigma_from": (float, 0.2, "first bin width of the sweep"),
+    "sigma_to": (float, 3.0, "last bin width of the sweep"),
+    "steps": (int, 15, "number of bin widths in the sweep"),
+    "n_max": (int, 6, "largest moment-matrix order"),
+    "n_list": (str, "2,3,4,5,6", "comma-separated moment orders"),
+    "cutoff": (int, 10, "Fock-space cutoff"),
+    "delta_e": (float, None, "spread of the added phase noise (rad)"),
+    "half_width": (float, None, "half-width of the kept phase window (rad)"),
+    "bootstrap": (int, 100, "number of resamples B"),
+    "resample_size": (int, None, "records per resample"),
+    "mode": ((SUBSAMPLE, REPLACEMENT), SUBSAMPLE, "resampling mode"),
+}
+
+BOOTSTRAP_OPTIONS = ("bootstrap", "resample_size", "mode", "seed")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its run function, help, option keys, required keys and default overrides."""
+
+    run: Callable[[dict], dict]
+    help: str
+    options: tuple[str, ...]
+    required: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "simulate": Command(
+        cmd_simulate,
+        "draw homodyne records from the forward model",
+        ("r", "target_db", "loss", "delta", "n", "seed", "phase_window", "center", "out"),
+        ("out",),
+    ),
+    "three-bin": Command(
+        cmd_three_bin,
+        "binned ratio test with bootstrap errors",
+        ("in_path", "sigma", "d", *BOOTSTRAP_OPTIONS),
+        ("in_path",),
+    ),
+    "sweep-sigma": Command(
+        cmd_sweep_sigma,
+        "bin-size sweep of the ratio test",
+        ("in_path", "sigma_from", "sigma_to", "steps", "d", "out", *BOOTSTRAP_OPTIONS),
+        ("in_path", "out"),
+    ),
+    "moments": Command(
+        cmd_moments,
+        "minimum moment-matrix eigenvalues up to order n-max",
+        ("in_path", "n_max", *BOOTSTRAP_OPTIONS),
+        ("in_path",),
+    ),
+    "estimate": Command(
+        cmd_estimate,
+        "recover (r, loss, delta) from x and p quadrature files",
+        ("in_x", "in_p", *BOOTSTRAP_OPTIONS),
+        ("in_x", "in_p"),
+        {"mode": REPLACEMENT},
+    ),
+    "ep": Command(cmd_ep, "entanglement potential of the forward state", ("r", "loss", "delta", "cutoff"), ("r",)),
+    "compare": Command(
+        cmd_compare,
+        "paired bin-test vs moment-method comparison",
+        ("in_path", "sigma", "d", "n_list", "cutoff", "out", *BOOTSTRAP_OPTIONS),
+        ("in_path",),
+    ),
+    "inject": Command(
+        cmd_inject,
+        "add Gaussian noise to the recorded phases",
+        ("in_path", "delta_e", "seed", "out"),
+        ("in_path", "delta_e", "out"),
+    ),
+    "select": Command(
+        cmd_select,
+        "keep records inside a phase window",
+        ("in_path", "center", "half_width", "out"),
+        ("in_path", "half_width", "out"),
+    ),
+}
+
+
 # ---------------------------------------------------------------- parser
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option values; explicit flags win")
-
-
-def _add_bootstrap_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bootstrap", type=int, help="number of resamples B")
-    sub.add_argument("--resample-size", dest="resample_size", type=int, help="records per resample")
-    sub.add_argument("--mode", choices=[SUBSAMPLE, REPLACEMENT], help="resampling mode")
-    sub.add_argument("--seed", type=int, help="master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quadbin", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command")
-
-    s = subs.add_parser("simulate", parents=[], help="draw homodyne records from the forward model")
-    s.add_argument("--r", type=float, help="squeezing parameter")
-    s.add_argument("--target-db", dest="target_db", type=float, help="target squeezing-axis variance in dB")
-    s.add_argument("--loss", type=float)
-    s.add_argument("--delta", type=float, help="phase-diffusion spread (rad)")
-    s.add_argument("--n", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--phase-window", dest="phase_window", type=float, help="half-width of a uniform phase scan (rad)")
-    s.add_argument("--center", type=float, help="nominal measurement phase (rad)")
-    s.add_argument("--out", help="CSV output path")
-    _add_common(s)
-    s.set_defaults(run=cmd_simulate)
-
-    s = subs.add_parser("three-bin", help="binned ratio test with bootstrap errors")
-    s.add_argument("--in", dest="in_path", help="input CSV")
-    s.add_argument("--sigma", type=float)
-    s.add_argument("--d", type=int)
-    _add_bootstrap_flags(s)
-    _add_common(s)
-    s.set_defaults(run=cmd_three_bin)
-
-    s = subs.add_parser("sweep-sigma", help="bin-size sweep of the ratio test")
-    s.add_argument("--in", dest="in_path")
-    s.add_argument("--sigma-from", dest="sigma_from", type=float)
-    s.add_argument("--sigma-to", dest="sigma_to", type=float)
-    s.add_argument("--steps", type=int)
-    s.add_argument("--d", type=int)
-    s.add_argument("--out", help="CSV output path")
-    _add_bootstrap_flags(s)
-    _add_common(s)
-    s.set_defaults(run=cmd_sweep_sigma)
-
-    s = subs.add_parser("moments", help="minimum moment-matrix eigenvalues up to order n-max")
-    s.add_argument("--in", dest="in_path")
-    s.add_argument("--n-max", dest="n_max", type=int)
-    _add_bootstrap_flags(s)
-    _add_common(s)
-    s.set_defaults(run=cmd_moments)
-
-    s = subs.add_parser("estimate", help="recover (r, loss, delta) from x and p quadrature files")
-    s.add_argument("--in-x", dest="in_x")
-    s.add_argument("--in-p", dest="in_p")
-    _add_bootstrap_flags(s)
-    _add_common(s)
-    s.set_defaults(run=cmd_estimate)
-
-    s = subs.add_parser("ep", help="entanglement potential of the forward state")
-    s.add_argument("--r", type=float)
-    s.add_argument("--loss", type=float)
-    s.add_argument("--delta", type=float)
-    s.add_argument("--cutoff", type=int)
-    _add_common(s)
-    s.set_defaults(run=cmd_ep)
-
-    s = subs.add_parser("compare", help="paired bin-test vs moment-method comparison")
-    s.add_argument("--in", dest="in_path")
-    s.add_argument("--sigma", type=float)
-    s.add_argument("--d", type=int)
-    s.add_argument("--n-list", dest="n_list", help="comma-separated moment orders")
-    s.add_argument("--cutoff", type=int)
-    s.add_argument("--out", help="optional CSV table")
-    _add_bootstrap_flags(s)
-    _add_common(s)
-    s.set_defaults(run=cmd_compare)
-
-    s = subs.add_parser("inject", help="add Gaussian noise to the recorded phases")
-    s.add_argument("--in", dest="in_path")
-    s.add_argument("--delta-e", dest="delta_e", type=float)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(run=cmd_inject)
-
-    s = subs.add_parser("select", help="keep records inside a phase window")
-    s.add_argument("--in", dest="in_path")
-    s.add_argument("--center", type=float)
-    s.add_argument("--half-width", dest="half_width", type=float)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(run=cmd_select)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for key in command.options:
+            kind, _, text = OPTIONS[key]
+            flag = "--in" if key == "in_path" else "--" + key.replace("_", "-")
+            # argparse defaults stay None so that _resolve can tell a given flag from an absent one
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument(flag, dest=key, help=text, **typed)
+        sub.add_argument("--config", help="JSON file with option values; explicit flags win")
     return parser
 
 
@@ -572,9 +473,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "run"):
+        if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        _emit(args.run(args))
+        command = COMMANDS[args.command]
+        _emit(command.run(_resolve(args, command)))
         return EXIT_OK
     except UsageError as exc:
         return _fail(EXIT_USAGE, exc)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel
 
 from .binning import BinnedHistogram
 from .errors import EigensolverError, UndefinedStatisticError
@@ -22,6 +21,7 @@ __all__ = [
     "ThreeBinResult",
     "MomentMatrix",
     "three_point_R",
+    "three_bin_ratio",
     "three_bin_R",
     "analytic_three_bin_R",
     "normally_ordered_moment",
@@ -79,6 +79,11 @@ class ThreeBinResult:
         }
 
 
+def three_bin_ratio(cpos, cneg, c0, sigma: float, d: int) -> float:
+    """The ratio C_d C_-d / C_0^2 * e^{sigma^2 d^2} from bin counts or bin masses."""
+    return float(cpos * cneg / c0**2 * np.exp(sigma**2 * d**2))
+
+
 def three_bin_R(hist: BinnedHistogram, d: int) -> ThreeBinResult:
     """Binned ratio test C_d C_-d / C_0^2 * e^{sigma^2 d^2} at bin distance ``d``."""
     if d < 1:
@@ -89,8 +94,7 @@ def three_bin_R(hist: BinnedHistogram, d: int) -> ThreeBinResult:
     cneg, cpos = hist.count(-d), hist.count(d)
     if cneg == 0 or cpos == 0:
         return ThreeBinResult(0.0, hist.sigma, d, (cneg, c0, cpos), low_count=True)
-    r = cpos * cneg / c0**2 * np.exp(hist.sigma**2 * d**2)
-    return ThreeBinResult(float(r), hist.sigma, d, (cneg, c0, cpos))
+    return ThreeBinResult(three_bin_ratio(cpos, cneg, c0, hist.sigma, d), hist.sigma, d, (cneg, c0, cpos))
 
 
 def analytic_three_bin_R(dist: QuadratureDistribution, sigma: float, d: int) -> float:
@@ -98,7 +102,7 @@ def analytic_three_bin_R(dist: QuadratureDistribution, sigma: float, d: int) -> 
     if d < 1:
         raise ValueError(f"bin distance must be a positive integer, got {d!r}")
     pneg, p0, ppos = dist.bin_probabilities(sigma, np.array([-d, 0, d]))
-    return float(ppos * pneg / p0**2 * np.exp(sigma**2 * d**2))
+    return three_bin_ratio(ppos, pneg, p0, sigma, d)
 
 
 def normally_ordered_moments(x, j_max: int) -> np.ndarray:
@@ -163,7 +167,7 @@ def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
     moments = np.asarray(moments, dtype=float)
     if moments.size < 2 * n - 1:
         raise ValueError(f"need moments up to order {2 * n - 2}, got {moments.size - 1}")
-    m = hankel(moments[:n], moments[n - 1 : 2 * n - 1])
+    m = moments[np.add.outer(np.arange(n), np.arange(n))]
     vals, vecs = np.linalg.eigh(m)
     lam = float(vals[0])
     residual = np.linalg.norm(m @ vecs[:, 0] - lam * vecs[:, 0])

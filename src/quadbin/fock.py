@@ -96,6 +96,8 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     """
     if r < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
+    if cutoff < 0:
+        raise ValueError(f"Fock cutoff must be >= 0, got {cutoff!r}")
     c = np.zeros(cutoff + 1)
     c[0] = 1.0 / np.sqrt(np.cosh(r))
     t = np.tanh(r)

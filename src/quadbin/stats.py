@@ -8,13 +8,14 @@ from typing import Callable
 import numpy as np
 
 from .binning import bin_indices
-from .detect import moment_matrix_from_moments, normally_ordered_moments
+from .detect import moment_matrix_from_moments, normally_ordered_moments, three_bin_ratio
 
 __all__ = [
     "BootstrapSpec",
     "BootstrapResult",
     "ViolationReport",
     "resample_indices",
+    "resample_values",
     "bootstrap",
     "three_bin_statistic",
     "min_eigenvalue_statistic",
@@ -26,8 +27,8 @@ __all__ = [
 SUBSAMPLE = "subsample-from-pool"
 REPLACEMENT = "resample-with-replacement"
 
-# A statistic maps a resampled outcome array to (value, degenerate_flag).
-Statistic = Callable[[np.ndarray], tuple[float, bool]]
+# A statistic maps one resample per pool to (value or vector of values, degenerate_flag).
+Statistic = Callable[..., tuple[float | list[float], bool]]
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,26 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
     return rng.integers(0, pool_size, size=spec.resample_size)
 
 
+def resample_values(spec: BootstrapSpec, pools, streams, statistic: Statistic) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``statistic`` on ``n_resamples`` paired resamples of ``pools``.
+
+    A pool is a 1-D array or a Dataset. Resample ``b`` draws one index set per
+    pool from that pool's stream and takes those records; the statistic gets
+    one resample per pool and returns (value or vector of values, degenerate
+    flag). Returns the values as a (k, B) array, one contiguous row per
+    component, and the (B,) flags.
+    """
+    values = None
+    flags = np.zeros(spec.n_resamples, dtype=bool)
+    for b in range(spec.n_resamples):
+        samples = (pool.take(resample_indices(spec, len(pool), b, s)) for pool, s in zip(pools, streams))
+        value, flags[b] = statistic(*samples)
+        if values is None:
+            values = np.empty((np.size(value), spec.n_resamples))
+        values[:, b] = value
+    return values, flags
+
+
 def bootstrap(data, spec: BootstrapSpec, statistic: Statistic, stream: int = 0) -> BootstrapResult:
     """Evaluate ``statistic`` on ``n_resamples`` resamples of the dataset.
 
@@ -108,42 +129,37 @@ def bootstrap(data, spec: BootstrapSpec, statistic: Statistic, stream: int = 0) 
     ``n_flagged``. The spread is the divide-by-B standard deviation of the B
     values, which are the full empirical estimator distribution.
     """
-    x = data.x
-    values = np.empty(spec.n_resamples)
-    flagged = 0
-    for b in range(spec.n_resamples):
-        value, bad = statistic(x[resample_indices(spec, x.size, b, stream)])
-        values[b] = value
-        flagged += bad
-    return BootstrapResult(float(values.mean()), float(values.std()), values, flagged)
-
-
-def _three_bin_from_outcomes(x: np.ndarray, sigma: float, d: int) -> tuple[float, bool]:
-    m = bin_indices(x, sigma)
-    c0 = int(np.count_nonzero(m == 0))
-    cpos = int(np.count_nonzero(m == d))
-    cneg = int(np.count_nonzero(m == -d))
-    if c0 == 0 or cpos == 0 or cneg == 0:
-        # pinned to the degenerate value; the flag keeps it out of silent use
-        return 0.0, True
-    return float(cpos * cneg / c0**2 * np.exp(sigma**2 * d**2)), False
+    values, flags = resample_values(spec, [data.x], [stream], statistic)
+    return BootstrapResult(float(values[0].mean()), float(values[0].std()), values[0], int(flags.sum()))
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
-    """Binned ratio statistic at fixed (sigma, d) for use under the bootstrap."""
+    """Binned ratio statistic at fixed (sigma, d) for use under the bootstrap.
+
+    A resample with an empty centre or side bin is pinned to 0.0 and flagged.
+    """
 
     def stat(x: np.ndarray) -> tuple[float, bool]:
-        return _three_bin_from_outcomes(x, sigma, d)
+        m = bin_indices(x, sigma)
+        c0, cpos, cneg = (int(np.count_nonzero(m == k)) for k in (0, d, -d))
+        if c0 == 0 or cpos == 0 or cneg == 0:
+            # pinned to the degenerate value; the flag keeps it out of silent use
+            return 0.0, True
+        return three_bin_ratio(cpos, cneg, c0, sigma, d), False
 
     return stat
 
 
-def min_eigenvalue_statistic(n: int) -> Statistic:
-    """Smallest eigenvalue of the order-n moment matrix as a bootstrap statistic."""
+def min_eigenvalue_statistic(*orders: int) -> Statistic:
+    """Smallest moment-matrix eigenvalue of each order in ``orders`` as a bootstrap statistic.
 
-    def stat(x: np.ndarray) -> tuple[float, bool]:
-        moms = normally_ordered_moments(x, 2 * n - 2)
-        return moment_matrix_from_moments(moms, n).lambda_min, False
+    All orders share one moment estimate; the value holds one entry per order.
+    """
+    j_max = 2 * max(orders) - 2
+
+    def stat(x: np.ndarray) -> tuple[list[float], bool]:
+        moms = normally_ordered_moments(x, j_max)
+        return [moment_matrix_from_moments(moms, n).lambda_min for n in orders], False
 
     return stat
 
@@ -183,19 +199,13 @@ def compare_methods(
     violation degrees are directly comparable.
     """
     orders = sorted(set(int(n) for n in moment_orders))
-    x = data.x
-    j_max = 2 * max(orders) - 2
-    r_vals = np.empty(spec.n_resamples)
-    lam_vals = {n: np.empty(spec.n_resamples) for n in orders}
-    flagged = 0
-    for b in range(spec.n_resamples):
-        xs = x[resample_indices(spec, x.size, b, stream)]
-        r, bad = _three_bin_from_outcomes(xs, sigma, d)
-        r_vals[b] = r
-        flagged += bad
-        moms = normally_ordered_moments(xs, j_max)
-        for n in orders:
-            lam_vals[n][b] = moment_matrix_from_moments(moms, n).lambda_min
-    reports = [violation_bin(r_vals, sigma=sigma, d=d, n_flagged=flagged)]
-    reports.extend(violation_moment(lam_vals[n], n=n) for n in orders)
+    ratio, eigenvalues = three_bin_statistic(sigma, d), min_eigenvalue_statistic(*orders)
+
+    def stat(x: np.ndarray) -> tuple[list[float], bool]:
+        r, bad = ratio(x)
+        return [r, *eigenvalues(x)[0]], bad
+
+    values, flags = resample_values(spec, [data.x], [stream], stat)
+    reports = [violation_bin(values[0], sigma=sigma, d=d, n_flagged=int(flags.sum()))]
+    reports.extend(violation_moment(row, n=n) for n, row in zip(orders, values[1:]))
     return reports

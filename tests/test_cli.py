@@ -7,10 +7,14 @@ import pytest
 
 from quadbin.binning import histogram
 from quadbin.cli import main
-from quadbin.data import inject_phase_noise, read_csv, sample_dataset, select_phase_window
-from quadbin.detect import three_bin_R
-from quadbin.estimate import params_from_variances
+from quadbin.data import Dataset, inject_phase_noise, read_csv, sample_dataset, select_phase_window, write_csv
+from quadbin.detect import moment_matrix_from_moments, normally_ordered_moments, three_bin_R
+from quadbin.errors import EstimationError
+from quadbin.estimate import estimate_params, params_from_variances, summarize
 from quadbin.model import StateParams
+from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices, three_bin_statistic
+
+ANCHOR = StateParams(1.0409, 0.414, 0.15)
 
 
 def run(capsys, *argv):
@@ -173,6 +177,15 @@ class TestEpCommand:
         code, payload, _ = run(capsys, "ep", "--r", "0.5", "--loss", "0.2", "--delta", "0.3")
         assert code == 0 and payload["ep"] > 0.1
 
+    def test_negative_cutoff_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "ep", "--r", "0.5", "--cutoff", "-1")
+        assert code == 1 and err["error"]["exit_code"] == 1
+        assert err["error"]["type"] == "ValueError" and "cutoff" in err["error"]["message"]
+        path = tmp_path / "d.csv"
+        write_csv(sample_dataset(ANCHOR, 400, seed=1), path)
+        code, _, err = run(capsys, "compare", "--in", str(path), "--bootstrap", "5", "--cutoff", "-1")
+        assert code == 1 and err["error"]["exit_code"] == 1
+
 
 class TestCompareCommand:
     def test_large_diffusion_defeats_the_variance_route_only(self, capsys, tmp_path):
@@ -241,6 +254,24 @@ class TestConfigFile:
         assert payload["config"]["r"] == 0.2       # config fills the rest
         assert payload["n"] == 800
 
+    def test_config_fills_bootstrap_options_under_a_command_default(self, capsys, tmp_path):
+        px, pp = tmp_path / "x.csv", tmp_path / "p.csv"
+        write_csv(sample_dataset(ANCHOR, 2_000, seed=11), px)
+        write_csv(sample_dataset(ANCHOR, 2_000, seed=12, center=np.pi / 2), pp)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bootstrap": 30, "mode": SUBSAMPLE, "resample_size": 500, "seed": 4}))
+        inputs = ["estimate", "--in-x", str(px), "--in-p", str(pp)]
+        code, layered, _ = run(capsys, *inputs, "--config", str(cfg), "--seed", "9")
+        assert code == 0
+        # the config file beats estimate's own mode default; the flag beats the config file
+        assert layered["config"] == {
+            "in_x": str(px), "in_p": str(pp), "bootstrap": 30, "resample_size": 500, "mode": SUBSAMPLE, "seed": 9,
+        }
+        code, flagged, _ = run(
+            capsys, *inputs, "--bootstrap", "30", "--mode", SUBSAMPLE, "--resample-size", "500", "--seed", "9"
+        )
+        assert code == 0 and flagged == layered
+
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1 and err["error"]["exit_code"] == 1
@@ -248,3 +279,130 @@ class TestConfigFile:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ep", "--r", "0.1", "--bogus", "1")
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    paths = {"x": root / "x.csv", "p": root / "p.csv"}
+    write_csv(sample_dataset(ANCHOR, 400, seed=5), paths["x"])
+    write_csv(sample_dataset(ANCHOR, 400, seed=6, center=np.pi / 2), paths["p"])
+    return {k: str(v) for k, v in paths.items()}
+
+
+BOOTSTRAP_DEFAULTS = {"bootstrap": 100, "resample_size": None, "mode": SUBSAMPLE, "seed": 0}
+
+
+def _default_cases(x, p, out):
+    """(argv with only the required flags, built-in configuration it must echo) per subcommand."""
+    return {
+        "simulate": (
+            ["--r", "0.3", "--out", out],
+            {"r": 0.3, "target_db": None, "loss": 0.0, "delta": 0.0, "n": 10_000, "seed": 0,
+             "phase_window": 0.0, "center": 0.0, "out": out},
+        ),
+        "three-bin": (["--in", x], {"in_path": x, "sigma": 1.0, "d": 1, **BOOTSTRAP_DEFAULTS}),
+        "sweep-sigma": (
+            ["--in", x, "--out", out],
+            {"in_path": x, "sigma_from": 0.2, "sigma_to": 3.0, "steps": 15, "d": 1, "out": out, **BOOTSTRAP_DEFAULTS},
+        ),
+        "moments": (["--in", x], {"in_path": x, "n_max": 6, **BOOTSTRAP_DEFAULTS}),
+        "estimate": (
+            ["--in-x", x, "--in-p", p],
+            {"in_x": x, "in_p": p, **BOOTSTRAP_DEFAULTS, "mode": REPLACEMENT},
+        ),
+        "ep": (["--r", "0.3"], {"r": 0.3, "loss": 0.0, "delta": 0.0, "cutoff": 10}),
+        "compare": (
+            ["--in", x],
+            {"in_path": x, "sigma": 1.0, "d": 1, "n_list": "2,3,4,5,6", "cutoff": 10, "out": None,
+             **BOOTSTRAP_DEFAULTS},
+        ),
+        "inject": (["--in", x, "--delta-e", "0.1", "--out", out], {"in_path": x, "delta_e": 0.1, "seed": 0, "out": out}),
+        "select": (
+            ["--in", x, "--half-width", "0.5", "--out", out],
+            {"in_path": x, "center": 0.0, "half_width": 0.5, "out": out},
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "three-bin", "sweep-sigma", "moments", "estimate", "ep", "compare", "inject", "select"]
+)
+def test_required_flags_alone_echo_the_built_in_defaults(capsys, tmp_path, small_files, command):
+    argv, expected = _default_cases(small_files["x"], small_files["p"], str(tmp_path / "out.csv"))[command]
+    code, payload, _ = run(capsys, command, *argv)
+    assert code == 0
+    # compared as JSON text so that an int default turning into a float shows up
+    assert json.dumps(payload["config"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestBootstrapNumbersByHand:
+    """Each CLI bootstrap rebuilt from the published index streams, compared bit for bit."""
+
+    @pytest.mark.parametrize("mode", [SUBSAMPLE, REPLACEMENT])
+    def test_moments(self, capsys, small_files, mode):
+        code, payload, _ = run(
+            capsys, "moments", "--in", small_files["x"], "--n-max", "4", "--bootstrap", "25", "--seed", "3",
+            "--mode", mode,
+        )
+        assert code == 0
+        data = read_csv(small_files["x"])
+        spec = BootstrapSpec(data.n if mode == REPLACEMENT else data.n // 4, 25, 3, mode)
+        lam = {n: [] for n in (2, 3, 4)}
+        for b in range(spec.n_resamples):
+            moms = normally_ordered_moments(data.x[resample_indices(spec, data.n, b)], 6)
+            for n in lam:
+                lam[n].append(moment_matrix_from_moments(moms, n).lambda_min)
+        for row in payload["rows"]:
+            assert row["lambda_mean"] == pytest.approx(np.mean(lam[row["n"]]), abs=0.0)
+            assert row["lambda_std"] == pytest.approx(np.std(lam[row["n"]]), abs=0.0)
+
+    def test_sweep_sigma(self, capsys, tmp_path, small_files):
+        out = tmp_path / "sweep.csv"
+        code, payload, _ = run(
+            capsys, "sweep-sigma", "--in", small_files["x"], "--sigma-from", "0.6", "--sigma-to", "1.4",
+            "--steps", "4", "--d", "1", "--bootstrap", "30", "--seed", "8", "--out", str(out),
+        )
+        assert code == 0
+        data = read_csv(small_files["x"])
+        spec = BootstrapSpec(data.n // 4, 30, 8, SUBSAMPLE)
+        sigmas = np.linspace(0.6, 1.4, 4)
+        r_vals = np.empty((4, spec.n_resamples))
+        for b in range(spec.n_resamples):
+            xs = data.x[resample_indices(spec, data.n, b)]
+            for i, s in enumerate(sigmas):
+                r_vals[i, b] = three_bin_statistic(float(s), 1)(xs)[0]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for row, s, vals in zip(rows, sigmas, r_vals):
+            assert float(row[0]) == float(s)
+            assert float(row[1]) == pytest.approx(np.mean(vals), abs=0.0)
+            assert float(row[2]) == pytest.approx(np.std(vals), abs=0.0)
+        best = int(np.argmin(r_vals.mean(axis=1)))
+        assert payload["min_r_mean"] == pytest.approx(np.mean(r_vals[best]), abs=0.0)
+
+    def test_estimate_drops_failed_draws(self, capsys, small_files):
+        code, payload, _ = run(
+            capsys, "estimate", "--in-x", small_files["x"], "--in-p", small_files["p"], "--bootstrap", "60",
+            "--seed", "4", "--resample-size", "40",
+        )
+        assert code == 0
+        dx, dp = read_csv(small_files["x"]), read_csv(small_files["p"])
+        spec = BootstrapSpec(40, 60, 4, REPLACEMENT)
+        draws = {"r": [], "l": [], "delta": []}
+        failed = 0
+        for b in range(spec.n_resamples):
+            ix = resample_indices(spec, dx.n, b, stream=1)
+            ip = resample_indices(spec, dp.n, b, stream=2)
+            try:
+                pb = estimate_params(summarize(Dataset(dx.theta[ix], dx.x[ix]), Dataset(dp.theta[ip], dp.x[ip])))
+            except (EstimationError, ValueError):
+                failed += 1
+                continue
+            draws["r"].append(pb.r)
+            draws["l"].append(pb.loss)
+            draws["delta"].append(pb.delta)
+        assert 0 < failed < spec.n_resamples
+        assert payload["n_flagged"] == failed
+        for key, vals in draws.items():
+            assert payload["std_" + key] == pytest.approx(np.std(vals), abs=0.0)
