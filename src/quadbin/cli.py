@@ -78,6 +78,11 @@ def _fail(code: int, exc: BaseException) -> int:
     return code
 
 
+def _flag(key: str) -> str:
+    """Command-line flag of an option key."""
+    return "--in" if key == "in_path" else "--" + key.replace("_", "-")
+
+
 def _resolve(args, command: Command) -> dict:
     """Layer built-in defaults, config-file values and explicit flags; check required options."""
     cfg = {}
@@ -91,7 +96,7 @@ def _resolve(args, command: Command) -> dict:
         out[key] = flag_value if flag_value is not None else cfg.get(key, default)
     missing = [k for k in command.required if out[k] is None]
     if missing:
-        raise UsageError("missing required option(s): " + ", ".join("--" + k.replace("_", "-") for k in missing))
+        raise UsageError("missing required option(s): " + ", ".join(_flag(k) for k in missing))
     return out
 
 
@@ -192,22 +197,33 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
     # one shared resample stream so neighbouring sigma values are paired
     stats = [three_bin_statistic(s, d) for s in sigmas]
-    values, _ = resample_values(spec, [data.x], [0], lambda xs: ([stat(xs)[0] for stat in stats], False))
+
+    def ratios_then_flags(xs: np.ndarray) -> tuple[list[float], bool]:
+        ratios, flags = zip(*(stat(xs) for stat in stats))
+        return [*ratios, *flags], False
+
+    values, _ = resample_values(spec, [data.x], [0], ratios_then_flags)
 
     rows = []
-    for s, row in zip(sigmas, values):
+    for s, row, flags in zip(sigmas, values[:steps], values[steps:]):
         mean = float(row.mean())
+        n_flagged = int(flags.sum())
         rows.append(
             {
                 "sigma": s,
                 "r_mean": mean,
                 "r_std": float(row.std()),
                 "r_analytic": analytic_three_bin_R(dist, s, d) if dist is not None else None,
-                "nonclassical": mean < 1.0,
+                # a row whose every resample was pinned holds no ratio at all
+                "nonclassical": mean < 1.0 and n_flagged < spec.n_resamples,
+                "n_flagged": n_flagged,
             }
         )
-    _write_table(cfg["out"], ["sigma", "r_mean", "r_std", "r_analytic", "nonclassical"], rows)
-    best = min(rows, key=lambda row: row["r_mean"])
+    usable = [row for row in rows if row["n_flagged"] < spec.n_resamples]
+    if not usable:
+        raise UndefinedStatisticError("every resample at every bin width has an empty bin; the sweep has no ratio")
+    _write_table(cfg["out"], ["sigma", "r_mean", "r_std", "r_analytic", "nonclassical", "n_flagged"], rows)
+    best = min(usable, key=lambda row: row["r_mean"])
     return {
         "out": cfg["out"],
         "d": d,
@@ -461,10 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=command.help)
         for key in command.options:
             kind, _, text = OPTIONS[key]
-            flag = "--in" if key == "in_path" else "--" + key.replace("_", "-")
             # argparse defaults stay None so that _resolve can tell a given flag from an absent one
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            sub.add_argument(flag, dest=key, help=text, **typed)
+            sub.add_argument(_flag(key), dest=key, help=text, **typed)
         sub.add_argument("--config", help="JSON file with option values; explicit flags win")
     return parser
 

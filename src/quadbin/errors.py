@@ -13,8 +13,8 @@ class CsvFormatError(QuadbinError):
         self.line = line
 
 
-class UndefinedStatisticError(QuadbinError):
-    """A statistic cannot be formed from the given counts (e.g. empty central bin)."""
+class UndefinedStatisticError(QuadbinError, ValueError):
+    """A statistic cannot be formed from the given data (e.g. empty central bin, zero bootstrap spread)."""
 
 
 class EstimationError(QuadbinError):

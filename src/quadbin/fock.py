@@ -6,6 +6,11 @@ entanglement potential is the base-2 log of the trace norm of the partial
 transpose of the two-mode state obtained by mixing with vacuum on a balanced
 beam splitter. Two-mode matrices use the composite row index a * (cutoff + 1) + b
 for basis state |a, b> (mode A first).
+
+Loss and dephasing keep only the coherences rho[n, m] with n - m even, so the
+partial transpose is block-diagonal in the parity of a + b; the trace norm is
+summed over the two half-size parity blocks whenever the off-block entries are
+exactly zero, and a state with real entries is solved in real arithmetic.
 """
 
 from __future__ import annotations
@@ -109,9 +114,9 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     return FockDensityMatrix(cutoff, np.outer(c, c).astype(complex), truncated_mass=1.0 - norm2)
 
 
-@np.vectorize
-def _binom(n: int, k: int) -> float:
-    return float(math.comb(int(n), int(k)))
+def _comb_table(cutoff: int) -> np.ndarray:
+    """binom(n, k) as floats at [n, k] for 0 <= n, k <= cutoff (zero for k > n)."""
+    return np.array([[float(math.comb(n, k)) for k in range(cutoff + 1)] for n in range(cutoff + 1)])
 
 
 def apply_loss(state: FockDensityMatrix, loss: float) -> FockDensityMatrix:
@@ -128,9 +133,10 @@ def apply_loss(state: FockDensityMatrix, loss: float) -> FockDensityMatrix:
     nc = state.cutoff
     out = np.zeros_like(np.asarray(state.mat, dtype=complex))
     eta = 1.0 - loss
+    comb = _comb_table(nc)
     for k in range(nc + 1):
         n = np.arange(nc + 1 - k)
-        amp = np.sqrt(_binom(n + k, k)) * eta ** (n / 2.0) * loss ** (k / 2.0)
+        amp = np.sqrt(comb[n + k, k]) * eta ** (n / 2.0) * loss ** (k / 2.0)
         out[: nc + 1 - k, : nc + 1 - k] += np.outer(amp, amp) * state.mat[k:, k:]
     return FockDensityMatrix(nc, out, state.truncated_mass)
 
@@ -153,11 +159,9 @@ def state_from_params(params: StateParams, cutoff: int = DEFAULT_CUTOFF) -> Fock
 
 def _bs_isometry(cutoff: int) -> np.ndarray:
     """Isometry |n> -> sum_j sqrt(binom(n, j) / 2^n) |j, n - j> of the balanced splitter."""
-    dim = (cutoff + 1) ** 2
-    t = np.zeros((dim, cutoff + 1))
-    for n in range(cutoff + 1):
-        for j in range(n + 1):
-            t[j * (cutoff + 1) + (n - j), n] = np.sqrt(math.comb(n, j) / 2.0**n)
+    n, j = np.tril_indices(cutoff + 1)
+    t = np.zeros(((cutoff + 1) ** 2, cutoff + 1))
+    t[j * (cutoff + 1) + (n - j), n] = np.sqrt(_comb_table(cutoff)[n, j] / 2.0**n)
     return t
 
 
@@ -186,8 +190,15 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    pt = partial_transpose(beam_split_with_vacuum(state))
-    vals = np.linalg.eigvalsh(pt.mat)
+    mat = np.asarray(state.mat)
+    if not mat.imag.any():
+        state = FockDensityMatrix(state.cutoff, mat.real, state.truncated_mass)
+    pt = np.asarray(partial_transpose(beam_split_with_vacuum(state)).mat)
+    a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
+    even = (a + b) % 2 == 0
+    # the even and odd blocks are solved apart when nothing couples them
+    blocks = [even, ~even] if not pt[np.ix_(even, ~even)].any() else [np.ones_like(even)]
+    vals = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(idx, idx)]) for idx in blocks])
     return float(np.log2(np.abs(vals).sum()))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .binning import bin_indices
 from .detect import moment_matrix_from_moments, normally_ordered_moments, three_bin_ratio
+from .errors import UndefinedStatisticError
 
 __all__ = [
     "BootstrapSpec",
@@ -169,7 +170,7 @@ def _violation(samples, limit: float, method: str, params: dict, n_flagged: int)
     mean = float(values.mean())
     std = float(values.std())
     if std == 0.0:
-        raise ValueError("statistic spread is zero; violation degree is undefined")
+        raise UndefinedStatisticError("statistic spread is zero; violation degree is undefined")
     return ViolationReport(method, params, mean, std, (limit - mean) / std, n_flagged)
 
 

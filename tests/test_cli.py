@@ -17,6 +17,13 @@ from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indice
 ANCHOR = StateParams(1.0409, 0.414, 0.15)
 
 
+def write_pinning_file(path, xs):
+    """200 records at x = 0 plus ``xs``: with --d 3 most resamples miss a side bin and are pinned."""
+    x = np.concatenate([np.zeros(200), xs])
+    write_csv(Dataset(np.zeros(len(x)), x), path)
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -96,6 +103,13 @@ class TestThreeBinCommand:
         code, _, err = run(capsys, "three-bin", "--in", str(bad))
         assert code == 2 and "line 2" in err["error"]["message"]
 
+    def test_zero_spread_is_a_data_error(self, capsys, tmp_path):
+        # no record at -3, so every resample is pinned to the same value
+        path = write_pinning_file(tmp_path / "d.csv", [3.0])
+        code, _, err = run(capsys, "three-bin", "--in", path, "--d", "3")
+        assert code == 2 and err["error"]["exit_code"] == 2
+        assert err["error"]["type"] == "UndefinedStatisticError" and "spread is zero" in err["error"]["message"]
+
 
 class TestSweepCommand:
     def test_single_step_matches_three_bin(self, capsys, tmp_path):
@@ -124,8 +138,27 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "sigma,r_mean,r_std,r_analytic,nonclassical"
+        assert lines[0] == "sigma,r_mean,r_std,r_analytic,nonclassical,n_flagged"
         assert len(lines) == 6
+
+    def test_all_pinned_rows_are_never_detections(self, capsys, tmp_path):
+        path = write_pinning_file(tmp_path / "d.csv", [3.0, -3.0])
+        out = tmp_path / "sweep.csv"
+        code, payload, _ = run(capsys, "sweep-sigma", "--in", path, "--d", "3", "--steps", "5", "--out", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        # only sigma = 0.9 puts both side records into the d = 3 bins; the other rows are all pinned
+        assert [int(row["n_flagged"]) for row in rows] == [100, 88, 100, 100, 100]
+        assert [row["nonclassical"] for row in rows] == ["0", "1", "0", "0", "0"]
+        assert payload["min_sigma"] == float(rows[1]["sigma"])
+        assert payload["min_r_mean"] == float(rows[1]["r_mean"]) > 0.0
+
+    def test_every_row_pinned_is_a_data_error(self, capsys, tmp_path):
+        path = write_pinning_file(tmp_path / "d.csv", [3.0])
+        code, _, err = run(capsys, "sweep-sigma", "--in", path, "--d", "3", "--out", str(tmp_path / "sweep.csv"))
+        assert code == 2 and err["error"]["exit_code"] == 2
+        assert err["error"]["type"] == "UndefinedStatisticError"
 
 
 class TestMomentsCommand:
@@ -275,6 +308,15 @@ class TestConfigFile:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1 and err["error"]["exit_code"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [(["three-bin"], "--in"), (["estimate", "--in-p", "p.csv"], "--in-x"), (["inject"], "--in, --delta-e, --out")],
+    )
+    def test_missing_option_names_its_flag(self, capsys, argv, flags):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err["error"]["message"] == "missing required option(s): " + flags
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ep", "--r", "0.1", "--bogus", "1")

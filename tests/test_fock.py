@@ -9,6 +9,7 @@ from scipy import integrate
 from quadbin.estimate import params_from_variances
 from quadbin.fock import (
     FockDensityMatrix,
+    _bs_isometry,
     apply_loss,
     apply_phase_diffusion,
     beam_split_with_vacuum,
@@ -19,6 +20,9 @@ from quadbin.fock import (
     state_from_params,
 )
 from quadbin.model import StateParams, diffused_variance
+
+# the five (r, loss, delta) states of the Fock benchmark workload
+BENCH_STATES = [(1.0409, 0.414, 0.15), (1.0409, 0.414, 0.5), (0.4, 0.0, 0.0), (0.7, 0.6, 0.0), (0.3, 0.1, 0.0)]
 
 
 def beam_split_oracle(mat: np.ndarray) -> np.ndarray:
@@ -45,6 +49,12 @@ def pt_oracle(mat2: np.ndarray, nc: int) -> np.ndarray:
                 for b2 in range(dim):
                     out[a1 * dim + b1, a2 * dim + b2] = mat2[a1 * dim + b2, a2 * dim + b1]
     return out
+
+
+def dense_ep_oracle(mat: np.ndarray) -> float:
+    """EP through the literal splitter sum, the elementwise transpose and the general eigensolver."""
+    vals = np.linalg.eigvals(pt_oracle(beam_split_oracle(mat), mat.shape[0] - 1))
+    return float(np.log2(np.abs(vals).sum()))
 
 
 class TestSqueezedVacuum:
@@ -105,6 +115,19 @@ class TestLossChannel:
     def test_rejects_bad_loss(self):
         with pytest.raises(ValueError):
             apply_loss(squeezed_vacuum_fock(0.1), 1.5)
+
+    def test_matches_kraus_sum_with_scalar_binomials(self):
+        # reference: the same Kraus sum with each binomial taken from math.comb one at a time
+        for nc in range(41):
+            for r, loss in ((0.4, 0.2), (1.0409, 0.414), (0.7, 0.999)):
+                s = squeezed_vacuum_fock(r, nc)
+                ref = np.zeros_like(s.mat)
+                for k in range(nc + 1):
+                    n = np.arange(nc + 1 - k)
+                    binom = np.array([float(math.comb(int(m) + k, k)) for m in n])
+                    amp = np.sqrt(binom) * (1.0 - loss) ** (n / 2.0) * loss ** (k / 2.0)
+                    ref[: nc + 1 - k, : nc + 1 - k] += np.outer(amp, amp) * s.mat[k:, k:]
+                assert np.array_equal(apply_loss(s, loss).mat, ref)
 
 
 class TestDephasingChannel:
@@ -195,6 +218,14 @@ class TestBeamSplitter:
         s = state_from_params(StateParams(0.6, 0.2, 0.3))
         assert beam_split_with_vacuum(s).trace == pytest.approx(s.trace, abs=1e-12)
 
+    def test_isometry_matches_double_loop(self):
+        for nc in range(41):
+            ref = np.zeros(((nc + 1) ** 2, nc + 1))
+            for n in range(nc + 1):
+                for j in range(n + 1):
+                    ref[j * (nc + 1) + (n - j), n] = np.sqrt(math.comb(n, j) / 2.0**n)
+            assert np.array_equal(_bs_isometry(nc), ref)
+
     def test_matches_quadruple_sum_oracle(self):
         s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=6)
         got = beam_split_with_vacuum(s).mat
@@ -232,6 +263,40 @@ class TestEntanglementPotential:
         vals = np.linalg.eigvals(pt_oracle(two, s.cutoff))
         oracle = float(np.log2(np.abs(vals).sum()))
         assert entanglement_potential(s) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "r, loss, expected", [(0.4, 0.0, 0.577078), (0.7, 0.6, 0.258691), (0.3, 0.1, 0.375817)]
+    )
+    def test_gaussian_states_match_closed_form(self, r, loss, expected):
+        # at delta = 0 the state is Gaussian and EP = max(0, -1/2 log2 V_x)
+        closed = max(0.0, -0.5 * math.log2(diffused_variance(StateParams(r, loss, 0.0), "x")))
+        assert closed == pytest.approx(expected, abs=5e-7)
+        assert entanglement_potential(state_from_params(StateParams(r, loss, 0.0), cutoff=40)) == pytest.approx(
+            closed, abs=1e-5
+        )
+
+    def test_odd_coherences_match_dense_oracle(self):
+        # (|0> + |1>)/sqrt(2) couples the two parity blocks of the partial transpose
+        mat = np.zeros((5, 5))
+        mat[:2, :2] = 0.5
+        s = FockDensityMatrix(4, mat)
+        assert entanglement_potential(s) == pytest.approx(math.log2(1.5), abs=1e-12)
+        assert entanglement_potential(s) == pytest.approx(dense_ep_oracle(mat), abs=1e-12)
+
+    def test_complex_state_matches_real_one_and_dense_oracle(self):
+        s = state_from_params(StateParams(0.5, 0.2, 0.3))
+        n = np.arange(s.cutoff + 1)
+        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        assert rotated.mat.imag.any()
+        assert entanglement_potential(rotated) == pytest.approx(entanglement_potential(s), abs=1e-12)
+        assert entanglement_potential(rotated) == pytest.approx(dense_ep_oracle(rotated.mat), abs=1e-12)
+
+    @pytest.mark.parametrize("state", BENCH_STATES)
+    def test_matches_full_complex_solve(self, state):
+        for cutoff in (10, 20, 30):
+            s = state_from_params(StateParams(*state), cutoff)
+            full = np.linalg.eigvalsh(partial_transpose(beam_split_with_vacuum(s)).mat)
+            assert entanglement_potential(s) == pytest.approx(float(np.log2(np.abs(full).sum())), abs=1e-12)
 
     def test_positive_under_strong_dephasing(self):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)
