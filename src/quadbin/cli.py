@@ -29,17 +29,18 @@ from .data import (
     simulation_params,
     write_csv,
 )
-from .detect import analytic_three_bin_R, moment_matrix, three_bin_R
+from .detect import analytic_three_bin_R, three_bin_R
 from .errors import CsvFormatError, EigensolverError, EstimationError, UndefinedStatisticError
 from .estimate import (
     db_from_variance,
     estimate_params,
+    residuals,
     squeezing_for_target,
     summarize,
     variance_from_db,
 )
 from .fock import entanglement_potential, state_from_params
-from .model import QuadratureDistribution, StateParams, diffused_variance, kurtosis_x
+from .model import QuadratureDistribution, StateParams
 from .stats import (
     REPLACEMENT,
     SUBSAMPLE,
@@ -48,6 +49,7 @@ from .stats import (
     compare_methods,
     min_eigenvalue_statistic,
     resample_values,
+    spread,
     three_bin_statistic,
     violation_bin,
 )
@@ -101,15 +103,12 @@ def _resolve(args, command: Command) -> dict:
 
 
 def _bootstrap_spec(resolved: dict, pool: int) -> BootstrapSpec:
+    if pool == 0:
+        raise UndefinedStatisticError("the input holds no records to resample")
     size = resolved["resample_size"]
     if size is None:
         size = pool if resolved["mode"] == REPLACEMENT else max(1, pool // 4)
     return BootstrapSpec(int(size), int(resolved["bootstrap"]), int(resolved["seed"]), resolved["mode"])
-
-
-def _biased_variance(x: np.ndarray) -> float:
-    d = x - x.mean()
-    return float((d**2).mean())
 
 
 def _cell(value) -> str:
@@ -144,22 +143,22 @@ def cmd_simulate(cfg: dict) -> dict:
         "r": params.r,
         "loss": params.loss,
         "delta": params.delta,
-        "var_x_db": db_from_variance(_biased_variance(data.x)),
-        "config": cfg,
+        "var_x_db": db_from_variance(float(np.var(data.x))),
     }
 
 
 # ---------------------------------------------------------------- three-bin
 
 
-def _three_bin_row(data: Dataset, sigma: float, d: int, spec: BootstrapSpec) -> dict:
+def cmd_three_bin(cfg: dict) -> dict:
+    data = read_csv(cfg["in_path"])
+    spec = _bootstrap_spec(cfg, data.n)
+    sigma, d = float(cfg["sigma"]), int(cfg["d"])
     point = three_bin_R(histogram(data, sigma), d)
     boot = bootstrap(data, spec, three_bin_statistic(sigma, d))
     report = violation_bin(boot.samples, sigma=sigma, d=d, n_flagged=boot.n_flagged)
     params = simulation_params(data.meta)
-    analytic = None
-    if params is not None:
-        analytic = analytic_three_bin_R(QuadratureDistribution(params, "x"), sigma, d)
+    dist = QuadratureDistribution(params, "x") if params is not None else None
     return {
         "sigma": sigma,
         "d": d,
@@ -168,17 +167,9 @@ def _three_bin_row(data: Dataset, sigma: float, d: int, spec: BootstrapSpec) -> 
         "r_std": report.std,
         "v": report.v,
         "nonclassical": report.mean < 1.0,
-        "analytic": analytic,
+        "analytic": analytic_three_bin_R(dist, sigma, d) if dist is not None else None,
         "n_flagged": report.n_flagged,
     }
-
-
-def cmd_three_bin(cfg: dict) -> dict:
-    data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
-    row = _three_bin_row(data, float(cfg["sigma"]), int(cfg["d"]), spec)
-    row["config"] = cfg
-    return row
 
 
 # ---------------------------------------------------------------- sweep-sigma
@@ -231,7 +222,6 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
         "min_sigma": best["sigma"],
         "min_r_mean": best["r_mean"],
         "min_r_std": best["r_std"],
-        "config": cfg,
     }
 
 
@@ -245,23 +235,24 @@ def cmd_moments(cfg: dict) -> dict:
         raise UsageError("--n-max must lie in [2, 8]")
     spec = _bootstrap_spec(cfg, data.n)
     orders = range(2, n_max + 1)
-    lam, _ = resample_values(spec, [data.x], [0], min_eigenvalue_statistic(*orders))
+    statistic = min_eigenvalue_statistic(*orders)
+    lam, _ = resample_values(spec, [data.x], [0], statistic)
+    points, _ = statistic(data.x)
     rows = []
-    for n, row in zip(orders, lam):
-        point = moment_matrix(data, n)
+    for n, point, row in zip(orders, points, lam):
         mean = float(row.mean())
-        std = float(row.std())
+        std = spread(row)
         rows.append(
             {
                 "n": n,
-                "lambda_point": point.lambda_min,
+                "lambda_point": point,
                 "lambda_mean": mean,
                 "lambda_std": std,
                 "v": (0.0 - mean) / std if std > 0 else None,
                 "nonclassical": mean < 0.0,
             }
         )
-    return {"rows": rows, "config": cfg}
+    return {"rows": rows}
 
 
 # ---------------------------------------------------------------- estimate
@@ -285,11 +276,6 @@ def cmd_estimate(cfg: dict) -> dict:
     draws, failed = resample_values(spec, [data_x, data_p], [1, 2], _estimate_statistic)
     # failed draws are dropped from the spread
     std_r, std_l, std_delta = (None if failed.all() else float(row[~failed].std()) for row in draws)
-    residuals = {
-        "var_x": abs(diffused_variance(params, "x") - summary.var_x) / summary.var_x,
-        "var_p": abs(diffused_variance(params, "p") - summary.var_p) / summary.var_p,
-        "kurt_x": abs(kurtosis_x(params) - summary.kurt_x) / summary.kurt_x,
-    }
     return {
         "r": params.r,
         "l": params.loss,
@@ -299,10 +285,9 @@ def cmd_estimate(cfg: dict) -> dict:
         "std_delta": std_delta,
         "var_x_db": db_from_variance(summary.var_x),
         "var_p_db": db_from_variance(summary.var_p),
-        "residuals": residuals,
+        "residuals": residuals(params, summary),
         "summary": {"var_x": summary.var_x, "var_p": summary.var_p, "kurt_x": summary.kurt_x},
         "n_flagged": int(failed.sum()),
-        "config": cfg,
     }
 
 
@@ -317,7 +302,6 @@ def cmd_ep(cfg: dict) -> dict:
         "cutoff": state.cutoff,
         "truncated_mass": state.truncated_mass,
         "trace": state.trace,
-        "config": cfg,
     }
 
 
@@ -330,9 +314,7 @@ def cmd_compare(cfg: dict) -> dict:
     spec = _bootstrap_spec(cfg, data.n)
     reports = compare_methods(data, float(cfg["sigma"]), int(cfg["d"]), orders, spec)
     params = simulation_params(data.meta)
-    ep = None
-    if params is not None:
-        ep = entanglement_potential(state_from_params(params, int(cfg["cutoff"])))
+    ep = entanglement_potential(state_from_params(params, int(cfg["cutoff"]))) if params is not None else None
     if cfg["out"]:
         columns = ["method", "sigma", "d", "n", "mean", "std", "v", "n_flagged"]
         _write_table(cfg["out"], columns, ({**rep.params, **rep.to_json_dict()} for rep in reports))
@@ -340,7 +322,6 @@ def cmd_compare(cfg: dict) -> dict:
         "delta": params.delta if params is not None else None,
         "reports": [rep.to_json_dict() for rep in reports],
         "ep": ep,
-        "config": cfg,
     }
 
 
@@ -351,7 +332,7 @@ def cmd_inject(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     noisy = inject_phase_noise(data, float(cfg["delta_e"]), int(cfg["seed"]))
     write_csv(noisy, cfg["out"])
-    return {"n": noisy.n, "delta_e": float(cfg["delta_e"]), "out": cfg["out"], "config": cfg}
+    return {"n": noisy.n, "delta_e": float(cfg["delta_e"]), "out": cfg["out"]}
 
 
 def cmd_select(cfg: dict) -> dict:
@@ -364,7 +345,6 @@ def cmd_select(cfg: dict) -> dict:
         "fraction": kept.n / data.n if data.n else 0.0,
         "empty": kept.meta["empty_selection"],
         "out": cfg["out"],
-        "config": cfg,
     }
 
 
@@ -491,13 +471,15 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         command = COMMANDS[args.command]
-        _emit(command.run(_resolve(args, command)))
+        cfg = _resolve(args, command)
+        # the echo is the dict the command ran with, so simulate's resolved r shows up
+        _emit({**command.run(cfg), "config": cfg})
         return EXIT_OK
     except UsageError as exc:
         return _fail(EXIT_USAGE, exc)
     except (CsvFormatError, UndefinedStatisticError, FileNotFoundError) as exc:
         return _fail(EXIT_DATA, exc)
-    except (EstimationError, EigensolverError) as exc:
+    except (EstimationError, EigensolverError, np.linalg.LinAlgError, OverflowError) as exc:
         return _fail(EXIT_NUMERIC, exc)
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)

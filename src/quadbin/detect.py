@@ -70,14 +70,6 @@ class ThreeBinResult:
     def nonclassical(self) -> bool:
         return self.r_value < 1.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.r_value,
-            "verdict": self.nonclassical,
-            "parameters": {"sigma": self.sigma, "d": self.d, "counts": list(self.counts_used)},
-            "low_count": self.low_count,
-        }
-
 
 def three_bin_ratio(cpos, cneg, c0, sigma: float, d: int) -> float:
     """The ratio C_d C_-d / C_0^2 * e^{sigma^2 d^2} from bin counts or bin masses."""
@@ -147,13 +139,6 @@ class MomentMatrix:
     @property
     def nonclassical(self) -> bool:
         return self.lambda_min < 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.lambda_min,
-            "verdict": self.nonclassical,
-            "parameters": {"n": self.order},
-        }
 
 
 def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:

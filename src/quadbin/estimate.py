@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, UndefinedStatisticError
 from .model import StateParams, diffused_variance, kurtosis_x
 
 __all__ = [
     "MomentSummary",
     "summarize",
     "estimate_params",
+    "residuals",
     "params_from_variances",
     "squeezing_for_target",
     "db_from_variance",
@@ -61,18 +62,20 @@ def summarize(data_x, data_p) -> MomentSummary:
     """Summary moments from squeezing-axis and anti-squeezing-axis datasets.
 
     Uses divide-by-N central moments throughout, matching the raw sampling
-    estimators used elsewhere.
+    estimators used elsewhere. Raises UndefinedStatisticError when the data fix no summary.
     """
     if data_x.n < 2 or data_p.n < 2:
-        raise ValueError("need at least two records per quadrature")
+        raise UndefinedStatisticError("need at least two records per quadrature")
     dx = data_x.x - data_x.x.mean()
     dp = data_p.x - data_p.x.mean()
-    var_x = float((dx**2).mean())
-    var_p = float((dp**2).mean())
+    # numpy scalars: an overflowing power gives inf, where a float's raises OverflowError
+    var_x, var_p = (dx**2).mean(), (dp**2).mean()
     if var_x == 0.0 or var_p == 0.0:
-        raise ValueError("degenerate (constant) quadrature data")
-    kurt_x = float((dx**4).mean() / var_x**2)
-    return MomentSummary(var_x, var_p, kurt_x)
+        raise UndefinedStatisticError("degenerate (constant) quadrature data")
+    kurt_x = (dx**4).mean() / var_x**2
+    if not np.isfinite([var_x, var_p, kurt_x]).all():
+        raise UndefinedStatisticError("quadrature moments overflow; the summary is not finite")
+    return MomentSummary(float(var_x), float(var_p), float(kurt_x))
 
 
 def estimate_params(summary: MomentSummary) -> StateParams:
@@ -93,38 +96,17 @@ def estimate_params(summary: MomentSummary) -> StateParams:
             f"kurtosis {K:.6g} below the Gaussian floor of 3; no diffusion explains it",
             code="kurtosis_floor",
         )
-    S = 0.5 * (vx + vp)
-    D = 0.5 * (vp - vx)
-    if abs(1.0 - S) < _VACUUM_TOL:
-        raise EstimationError(
-            "summary is vacuum-like (mean variance 1); loss is unidentifiable",
-            code="vacuum_degenerate",
-        )
     E = np.sqrt((K - 3.0) / 6.0) * vx
+    D = 0.5 * (vp - vx)
     u = D / (np.hypot(E, D) + E)  # unique root of D u^2 + 2 E u - D = 0 in (0, 1], subtraction-free
-    B = D / u
-    loss = (1.0 - S**2 + B**2) / (2.0 * (1.0 - S))
-    if -1e-12 < loss < 0.0:
-        loss = 0.0
-    if not 0.0 <= loss < 1.0:
-        raise EstimationError(
-            f"derived loss {loss:.6g} outside [0, 1); summary is unphysical",
-            code="loss_range",
-            residuals={"loss": loss},
-        )
-    r = 0.5 * np.arcsinh(B / (1.0 - loss))
-    delta = np.sqrt(max(-np.log(u), 0.0) / 2.0)
-    params = StateParams(float(r), float(loss), float(delta))
-    residuals = {
-        "var_x": abs(diffused_variance(params, "x") - vx) / vx,
-        "var_p": abs(diffused_variance(params, "p") - vp) / vp,
-        "kurt_x": abs(kurtosis_x(params) - K) / K,
-    }
-    if max(residuals.values()) > _RESIDUAL_TOL:
+    r, loss = _invert_variances(vx, vp, u)
+    params = StateParams(r, loss, float(np.sqrt(max(-np.log(u), 0.0) / 2.0)))
+    mismatch = residuals(params, summary)
+    if max(mismatch.values()) > _RESIDUAL_TOL:
         raise EstimationError(
             "closed-form inversion failed to reproduce the summary",
             code="residual",
-            residuals=residuals,
+            residuals=mismatch,
         )
     return params
 
@@ -139,20 +121,38 @@ def params_from_variances(var_x: float, var_p: float, delta: float) -> StatePara
         raise EstimationError(
             f"need 0 < var_x < var_p, got {var_x!r}, {var_p!r}", code="variance_order"
         )
+    return StateParams(*_invert_variances(var_x, var_p, np.exp(-2.0 * delta**2)), float(delta))
+
+
+def _invert_variances(var_x: float, var_p: float, u: float) -> tuple[float, float]:
+    """(r, loss) from the two variances at a known u = e^{-2 delta^2}, via S, D = B u and B."""
     S = 0.5 * (var_x + var_p)
     D = 0.5 * (var_p - var_x)
     if abs(1.0 - S) < _VACUUM_TOL:
-        raise EstimationError("summary is vacuum-like; loss is unidentifiable", code="vacuum_degenerate")
-    B = D / np.exp(-2.0 * delta**2)
+        raise EstimationError(
+            "summary is vacuum-like (mean variance 1); loss is unidentifiable",
+            code="vacuum_degenerate",
+        )
+    B = D / u
     loss = (1.0 - S**2 + B**2) / (2.0 * (1.0 - S))
     if -1e-12 < loss < 0.0:
         loss = 0.0
     if not 0.0 <= loss < 1.0:
         raise EstimationError(
-            f"derived loss {loss:.6g} outside [0, 1)", code="loss_range", residuals={"loss": loss}
+            f"derived loss {loss:.6g} outside [0, 1); summary is unphysical",
+            code="loss_range",
+            residuals={"loss": loss},
         )
-    r = 0.5 * np.arcsinh(B / (1.0 - loss))
-    return StateParams(float(r), float(loss), float(delta))
+    return float(0.5 * np.arcsinh(B / (1.0 - loss))), float(loss)
+
+
+def residuals(params: StateParams, summary: MomentSummary) -> dict:
+    """Relative mismatch between the forward model at ``params`` and each summary moment."""
+    return {
+        "var_x": abs(diffused_variance(params, "x") - summary.var_x) / summary.var_x,
+        "var_p": abs(diffused_variance(params, "p") - summary.var_p) / summary.var_p,
+        "kurt_x": abs(kurtosis_x(params) - summary.kurt_x) / summary.kurt_x,
+    }
 
 
 def squeezing_for_target(var_x: float, loss: float, delta: float) -> float:

@@ -10,7 +10,8 @@ for basis state |a, b> (mode A first).
 Loss and dephasing keep only the coherences rho[n, m] with n - m even, so the
 partial transpose is block-diagonal in the parity of a + b; the trace norm is
 summed over the two half-size parity blocks whenever the off-block entries are
-exactly zero, and a state with real entries is solved in real arithmetic.
+exactly zero. The states built here are real (float64) and stay real, so they
+are solved in real arithmetic; a complex matrix (say, from from_json) is not.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
         c[k2] = c[k2 - 2] * (-t) * np.sqrt((2.0 * k - 1.0) * (2.0 * k)) / (2.0 * k)
     norm2 = float(np.sum(c**2))
     c /= np.sqrt(norm2)
-    return FockDensityMatrix(cutoff, np.outer(c, c).astype(complex), truncated_mass=1.0 - norm2)
+    return FockDensityMatrix(cutoff, np.outer(c, c), truncated_mass=1.0 - norm2)
 
 
 def _comb_table(cutoff: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def apply_loss(state: FockDensityMatrix, loss: float) -> FockDensityMatrix:
     if loss == 0.0:
         return state
     nc = state.cutoff
-    out = np.zeros_like(np.asarray(state.mat, dtype=complex))
+    out = np.zeros(state.mat.shape, np.result_type(state.mat, float))
     eta = 1.0 - loss
     comb = _comb_table(nc)
     for k in range(nc + 1):
@@ -190,9 +191,6 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    mat = np.asarray(state.mat)
-    if not mat.imag.any():
-        state = FockDensityMatrix(state.cutoff, mat.real, state.truncated_mass)
     pt = np.asarray(partial_transpose(beam_split_with_vacuum(state)).mat)
     a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
     even = (a + b) % 2 == 0

@@ -20,6 +20,7 @@ __all__ = [
     "bootstrap",
     "three_bin_statistic",
     "min_eigenvalue_statistic",
+    "spread",
     "violation_bin",
     "violation_moment",
     "compare_methods",
@@ -165,10 +166,18 @@ def min_eigenvalue_statistic(*orders: int) -> Statistic:
     return stat
 
 
+def spread(samples) -> float:
+    """Divide-by-B standard deviation of the samples; exactly 0.0 when every sample is the same.
+
+    np.std of equal values rounds to a few ulps (4.4e-16 for 100 copies of 1.0833).
+    """
+    return 0.0 if np.ptp(samples) == 0.0 else float(np.std(samples))
+
+
 def _violation(samples, limit: float, method: str, params: dict, n_flagged: int) -> ViolationReport:
     values = np.asarray(samples, dtype=float)
     mean = float(values.mean())
-    std = float(values.std())
+    std = spread(values)
     if std == 0.0:
         raise UndefinedStatisticError("statistic spread is zero; violation degree is undefined")
     return ViolationReport(method, params, mean, std, (limit - mean) / std, n_flagged)

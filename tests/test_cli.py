@@ -1,27 +1,34 @@
 """Command-line tests: outputs, determinism, exit codes, config layering."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadbin.binning import histogram
 from quadbin.cli import main
 from quadbin.data import Dataset, inject_phase_noise, read_csv, sample_dataset, select_phase_window, write_csv
-from quadbin.detect import moment_matrix_from_moments, normally_ordered_moments, three_bin_R
+from quadbin.detect import moment_matrix, moment_matrix_from_moments, normally_ordered_moments, three_bin_R
 from quadbin.errors import EstimationError
-from quadbin.estimate import estimate_params, params_from_variances, summarize
+from quadbin.estimate import db_from_variance, estimate_params, params_from_variances, summarize
 from quadbin.model import StateParams
 from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices, three_bin_statistic
 
 ANCHOR = StateParams(1.0409, 0.414, 0.15)
 
 
+def write_records(path, xs):
+    write_csv(Dataset(np.zeros(len(xs)), np.array(xs, dtype=float)), path)
+    return str(path)
+
+
 def write_pinning_file(path, xs):
     """200 records at x = 0 plus ``xs``: with --d 3 most resamples miss a side bin and are pinned."""
-    x = np.concatenate([np.zeros(200), xs])
-    write_csv(Dataset(np.zeros(len(x)), x), path)
-    return str(path)
+    return write_records(path, np.concatenate([np.zeros(200), xs]))
 
 
 def run(capsys, *argv):
@@ -63,6 +70,16 @@ class TestSimulate:
         )
         assert code == 0
         assert abs(payload["var_x_db"] - (-2.3)) <= 0.1
+
+    def test_reported_variance_is_the_biased_sample_variance(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        code, payload, _ = run(
+            capsys, "simulate", "--r", "0.3", "--loss", "0.1", "--delta", "0.15",
+            "--n", "3000", "--seed", "7", "--out", str(out),
+        )
+        assert code == 0
+        x = read_csv(out).x
+        assert payload["var_x_db"] == pytest.approx(db_from_variance(np.mean((x - np.mean(x)) ** 2)), abs=0.0)
 
     def test_requires_exactly_one_amplitude_option(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--loss", "0.1", "--out", str(tmp_path / "x.csv"))
@@ -107,6 +124,13 @@ class TestThreeBinCommand:
         # no record at -3, so every resample is pinned to the same value
         path = write_pinning_file(tmp_path / "d.csv", [3.0])
         code, _, err = run(capsys, "three-bin", "--in", path, "--d", "3")
+        assert code == 2 and err["error"]["exit_code"] == 2
+        assert err["error"]["type"] == "UndefinedStatisticError" and "spread is zero" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["three-bin", "compare"])
+    def test_whole_pool_resamples_are_a_data_error(self, capsys, small_files, command):
+        # every resample is the whole pool, so every ratio is the same number
+        code, _, err = run(capsys, command, "--in", small_files["x"], "--resample-size", "400", "--bootstrap", "20")
         assert code == 2 and err["error"]["exit_code"] == 2
         assert err["error"]["type"] == "UndefinedStatisticError" and "spread is zero" in err["error"]["message"]
 
@@ -173,6 +197,21 @@ class TestMomentsCommand:
         assert [row["n"] for row in payload["rows"]] == [2, 3, 4]
         assert payload["rows"][0]["nonclassical"] is True  # squeezed state
 
+    def test_point_is_the_full_data_moment_matrix(self, capsys, small_files):
+        code, payload, _ = run(capsys, "moments", "--in", small_files["x"], "--bootstrap", "5")
+        assert code == 0
+        data = read_csv(small_files["x"])
+        assert [row["n"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
+        for row in payload["rows"]:
+            assert row["lambda_point"] == pytest.approx(moment_matrix(data, row["n"]).lambda_min, abs=0.0)
+
+    def test_equal_resamples_have_no_violation_degree(self, capsys, tmp_path):
+        # every resample of constant records gives the same eigenvalues, whose np.std is a few ulps
+        path = write_records(tmp_path / "flat.csv", [0.7] * 8)
+        code, payload, _ = run(capsys, "moments", "--in", path, "--n-max", "3")
+        assert code == 0
+        assert [(row["lambda_std"], row["v"]) for row in payload["rows"]] == [(0.0, None), (0.0, None)]
+
 
 class TestEstimateCommand:
     def test_recovers_simulation_parameters(self, capsys, tmp_path):
@@ -199,6 +238,39 @@ class TestEstimateCommand:
         narrow.write_text("theta,x\n" + "\n".join(f"0.0,{float(v)!r}" for v in rng.normal(0, 0.7, 500)) + "\n")
         code, _, err = run(capsys, "estimate", "--in-x", str(wide), "--in-p", str(narrow))
         assert code == 3 and err["error"]["exit_code"] == 3
+
+
+class TestDegenerateInput:
+    """Data that fix no statistic exit 2, failed numerics exit 3, oversized flags stay usage errors."""
+
+    HUGE = [1e200, -1e200] * 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, files, code",
+        [
+            (["sweep-sigma", "--in", "{a}", "--out", "{out}"], {"a": []}, 2),
+            (["moments", "--in", "{a}"], {"a": []}, 2),
+            (["compare", "--in", "{a}"], {"a": []}, 2),
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [0.5], "b": [1.0, -1.0, 2.0]}, 2),
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [0.5] * 4, "b": [1.0, -1.0, 2.0]}, 2),
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": HUGE, "b": [1.0, -1.0, 2.0]}, 2),
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [1e100, -1e100, 0.0], "b": [1.0, -1.0, 2.0]}, 2),
+            # heavy-tailed x (kurtosis 4.5) passes every check before the variance sum overflows
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [-3.0, 3.0] + [0.0] * 7, "b": [1e80, -1e80] * 4}, 3),
+            (["moments", "--in", "{a}"], {"a": HUGE}, 3),
+            (["moments", "--in", "{a}", "--resample-size", "5"], {"a": [0.1, 1.2, -1.3]}, 1),
+        ],
+        ids=[
+            "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
+            "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
+            "estimate-variance-sum-overflow", "moments-eigensolve-fails", "resample-larger-than-pool",
+        ],
+    )
+    def test_exit_code(self, capsys, tmp_path, argv, files, code):
+        paths = {key: write_records(tmp_path / f"{key}.csv", xs) for key, xs in files.items()}
+        got, _, err = run(capsys, *(arg.format(out=tmp_path / "out.csv", **paths) for arg in argv))
+        assert got == code and err["error"]["exit_code"] == code
 
 
 class TestEpCommand:
@@ -448,3 +520,34 @@ class TestBootstrapNumbersByHand:
         assert payload["n_flagged"] == failed
         for key, vals in draws.items():
             assert payload["std_" + key] == pytest.approx(np.std(vals), abs=0.0)
+
+
+RECORDS = st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]), max_size=5)
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=RECORDS, p=RECORDS)
+def test_small_files_exit_ok_data_or_numeric(property_dir, x, p):
+    """0-5 records never give a usage error or a traceback, and every failure writes one JSON error."""
+    xs, ps = write_records(property_dir / "x.csv", x), write_records(property_dir / "p.csv", p)
+    quick = ["--bootstrap", "3"]
+    for argv in (
+        ["three-bin", "--in", xs, *quick],
+        ["sweep-sigma", "--in", xs, "--steps", "3", "--out", str(property_dir / "sweep.csv"), *quick],
+        ["moments", "--in", xs, *quick],
+        ["compare", "--in", xs, *quick],
+        ["estimate", "--in-x", xs, "--in-p", ps, *quick],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, x, p, err.getvalue())
+        errors = [json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")]
+        assert len(errors) == (code != 0)
+        if code:
+            assert errors[0]["error"]["exit_code"] == code

@@ -5,12 +5,14 @@ import pytest
 from scipy import optimize
 
 from quadbin.data import sample_dataset
-from quadbin.errors import EstimationError
+from quadbin.data import Dataset
+from quadbin.errors import EstimationError, UndefinedStatisticError
 from quadbin.estimate import (
     MomentSummary,
     db_from_variance,
     estimate_params,
     params_from_variances,
+    residuals,
     squeezing_for_target,
     summarize,
     variance_from_db,
@@ -71,6 +73,17 @@ class TestSummarize:
         flat = Dataset(np.zeros(10), np.ones(10))
         with pytest.raises(ValueError):
             summarize(flat, flat)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "x",
+        [[0.5], [0.5] * 10, [1e200, -1e200] * 4, [1e100, -1e100, 0.0]],
+        ids=["one-record", "constant", "variance-overflow", "kurtosis-overflow"],
+    )
+    def test_undefined_summary_is_a_statistic_error(self, x):
+        wide = sample_dataset(StateParams(0.5, 0.1, 0.1), 50, seed=3, center=np.pi / 2)
+        with pytest.raises(UndefinedStatisticError):
+            summarize(Dataset(np.zeros(len(x)), np.array(x)), wide)
 
     def test_forward_state_matches_model_within_errors(self):
         # mean over independent seeds against the closed forms, scaled by the
@@ -146,6 +159,12 @@ class TestClosedFormInversion:
             estimate_params(MomentSummary(0.2, 2.0, 3.0))
         assert err.value.code == "loss_range"
 
+    def test_residuals_measure_the_forward_mismatch(self):
+        truth = StateParams(0.5, 0.3, 0.25)
+        assert residuals(truth, forward_summary(truth)) == {"var_x": 0.0, "var_p": 0.0, "kurt_x": 0.0}
+        off = residuals(StateParams(0.5, 0.3, 0.3), forward_summary(truth))
+        assert off["var_x"] > 1e-3 and off["var_p"] > 1e-3 and off["kurt_x"] > 1e-3
+
     def test_validated_against_black_box_root_finder(self):
         # independent oracle: solve the three forward equations numerically in
         # smooth unconstrained coordinates, from fixed neutral starts
@@ -213,6 +232,16 @@ class TestKnownDeltaInversion:
     def test_rejects_bad_ordering(self):
         with pytest.raises(EstimationError):
             params_from_variances(2.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("var_x, var_p", [(0.999, 1.001), (0.2, 2.0)], ids=["vacuum-like", "loss-range"])
+    def test_fails_like_the_full_inversion(self, var_x, var_p):
+        # at delta = 0 and kurtosis 3 both inversions run the same algebra with u = 1
+        with pytest.raises(EstimationError) as full:
+            estimate_params(MomentSummary(var_x, var_p, 3.0))
+        with pytest.raises(EstimationError) as known:
+            params_from_variances(var_x, var_p, 0.0)
+        assert (known.value.code, str(known.value)) == (full.value.code, str(full.value))
+        assert known.value.residuals == full.value.residuals
 
 
 class TestTargetSqueezing:

@@ -87,6 +87,11 @@ class TestSqueezedVacuum:
         with pytest.raises(ValueError):
             squeezed_vacuum_fock(-0.1)
 
+    def test_forward_states_are_real(self):
+        assert squeezed_vacuum_fock(0.4).mat.dtype == np.float64
+        for state in BENCH_STATES:
+            assert state_from_params(StateParams(*state)).mat.dtype == np.float64
+
 
 class TestLossChannel:
     def test_zero_loss_is_identity(self):
@@ -316,3 +321,9 @@ class TestSerialization:
         assert back.cutoff == s.cutoff
         assert np.allclose(back.mat, s.mat, atol=0.0)
         assert back.truncated_mass == s.truncated_mass
+
+    def test_json_roundtrip_keeps_the_potential(self):
+        s = state_from_params(StateParams(1.0409, 0.414, 0.15), cutoff=12)
+        back = FockDensityMatrix.from_json(s.to_json())
+        assert back.mat.dtype == complex  # the complex path, against the real one
+        assert entanglement_potential(back) == pytest.approx(entanglement_potential(s), abs=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from quadbin.data import Dataset, sample_dataset
 from quadbin.detect import analytic_three_bin_R, moment_matrix_from_moments, normally_ordered_moments
+from quadbin.errors import UndefinedStatisticError
 from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import (
     REPLACEMENT,
@@ -14,6 +15,7 @@ from quadbin.stats import (
     compare_methods,
     min_eigenvalue_statistic,
     resample_indices,
+    spread,
     three_bin_statistic,
     violation_bin,
     violation_moment,
@@ -109,6 +111,17 @@ class TestViolationReports:
     def test_zero_spread_rejected(self):
         with pytest.raises(ValueError):
             violation_bin(np.ones(5))
+
+    def test_equal_samples_have_zero_spread(self):
+        # the rounded mean leaves np.std of equal values a few ulps above zero
+        assert np.full(100, 1.0833).std() > 0.0
+        assert spread(np.full(100, 1.0833)) == 0.0
+        with pytest.raises(UndefinedStatisticError):
+            violation_bin(np.full(100, 1.0833))
+        with pytest.raises(UndefinedStatisticError):
+            violation_moment(np.full(20, -0.4137135046258556))
+        samples = np.array([0.56, 0.60, 0.64])
+        assert spread(samples) == np.std(samples)
 
     def test_sign_matches_mean_versus_limit(self):
         rng = np.random.default_rng(21)
