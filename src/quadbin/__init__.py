@@ -6,10 +6,9 @@ the normally-ordered-moment matrix, with parameter estimation, entanglement
 potential and bootstrap significance on top.
 """
 
-from .binning import BinnedHistogram, bin_index, bin_indices, histogram, histogram_outcomes
+from .binning import BinnedHistogram, bin_indices, histogram
 from .data import (
     Dataset,
-    HomodyneRecord,
     inject_phase_noise,
     read_csv,
     sample_dataset,
@@ -23,7 +22,6 @@ from .detect import (
     analytic_three_bin_R,
     moment_matrix,
     moment_matrix_from_moments,
-    normally_ordered_moment,
     normally_ordered_moments,
     three_bin_R,
     three_point_R,
@@ -46,7 +44,6 @@ from .estimate import (
 )
 from .fock import (
     FockDensityMatrix,
-    TwoModeDensityMatrix,
     apply_loss,
     apply_phase_diffusion,
     beam_split_with_vacuum,

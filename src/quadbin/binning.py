@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BinnedHistogram", "bin_index", "bin_indices", "histogram", "histogram_outcomes"]
+__all__ = ["BinnedHistogram", "bin_indices", "histogram"]
 
 
 def bin_indices(x, sigma: float) -> np.ndarray:
@@ -21,10 +20,6 @@ def bin_indices(x, sigma: float) -> np.ndarray:
     if not np.all(np.isfinite(xa)):
         raise ValueError("outcomes must be finite")
     return np.floor(xa / sigma + 0.5).astype(np.int64)
-
-
-def bin_index(x: float, sigma: float) -> int:
-    return int(bin_indices(x, sigma))
 
 
 @dataclass(frozen=True)
@@ -50,59 +45,12 @@ class BinnedHistogram:
     def count(self, m: int) -> int:
         return self.counts.get(int(m), 0)
 
-    def merge(self, other: "BinnedHistogram") -> "BinnedHistogram":
-        """Combine two shards built with the same bin size."""
-        if other.sigma != self.sigma:
-            raise ValueError("cannot merge histograms with different bin sizes")
-        counts = dict(self.counts)
-        for m, c in other.counts.items():
-            counts[m] = counts.get(m, 0) + c
-        return BinnedHistogram(self.sigma, counts, self.total + other.total)
 
-    def coarsen(self, factor: int) -> "BinnedHistogram":
-        """Merge groups of ``factor`` bins into bins of size ``factor * sigma``.
-
-        Only odd factors preserve the center-aligned convention exactly: the
-        coarse bin m collects fine bins factor*m - (factor-1)/2 ... + (factor-1)/2.
-        Even factors would put coarse bin edges in the middle of fine bins.
-        """
-        if factor < 1 or factor % 2 == 0:
-            raise ValueError("coarsening factor must be a positive odd integer")
-        counts: dict[int, int] = {}
-        for m, c in self.counts.items():
-            mc = int(np.floor(m / factor + 0.5))
-            counts[mc] = counts.get(mc, 0) + c
-        return BinnedHistogram(self.sigma * factor, counts, self.total)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigma": self.sigma,
-                "total": self.total,
-                "counts": {str(m): c for m, c in sorted(self.counts.items())},
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinnedHistogram":
-        obj = json.loads(text)
-        return cls(obj["sigma"], {int(m): int(c) for m, c in obj["counts"].items()}, int(obj["total"]))
-
-    def to_csv(self) -> str:
-        lines = ["m,count"] + [f"{m},{c}" for m, c in sorted(self.counts.items())]
-        return "\n".join(lines) + "\n"
-
-
-def histogram_outcomes(x, sigma: float) -> BinnedHistogram:
-    """Histogram raw outcomes with bin size ``sigma``."""
+def histogram(x, sigma: float) -> BinnedHistogram:
+    """Histogram the outcomes ``x`` with bin size ``sigma``."""
     xa = np.asarray(x, dtype=float)
     if xa.size == 0:
         return BinnedHistogram(sigma, {}, 0)
     ms, cs = np.unique(bin_indices(xa, sigma), return_counts=True)
     return BinnedHistogram(sigma, {int(m): int(c) for m, c in zip(ms, cs)}, int(xa.size))
 
-
-def histogram(data, sigma: float) -> BinnedHistogram:
-    """Histogram the outcomes of a dataset."""
-    return histogram_outcomes(data.x, sigma)

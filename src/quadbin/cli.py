@@ -154,7 +154,7 @@ def cmd_three_bin(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     sigma, d = float(cfg["sigma"]), int(cfg["d"])
-    point = three_bin_R(histogram(data, sigma), d)
+    point = three_bin_R(histogram(data.x, sigma), d)
     boot = bootstrap(data, spec, three_bin_statistic(sigma, d))
     report = violation_bin(boot.samples, sigma=sigma, d=d, n_flagged=boot.n_flagged)
     params = simulation_params(data.meta)
@@ -472,8 +472,10 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         command = COMMANDS[args.command]
         cfg = _resolve(args, command)
-        # the echo is the dict the command ran with, so simulate's resolved r shows up
-        _emit({**command.run(cfg), "config": cfg})
+        # the echo is the dict the command ran with, so simulate's resolved r shows up;
+        # floating-point warnings stay off stderr, which holds at most the one JSON error
+        with np.errstate(all="ignore"):
+            _emit({**command.run(cfg), "config": cfg})
         return EXIT_OK
     except UsageError as exc:
         return _fail(EXIT_USAGE, exc)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,7 +35,6 @@ from .errors import CsvFormatError
 from .model import StateParams, rotated_variance
 
 __all__ = [
-    "HomodyneRecord",
     "Dataset",
     "sample_dataset",
     "inject_phase_noise",
@@ -45,12 +44,6 @@ __all__ = [
     "simulation_params",
 ]
 
-
-class HomodyneRecord(NamedTuple):
-    """One measurement: recorded phase (rad) and quadrature outcome (shot-noise units)."""
-
-    theta: float
-    x: float
 
 RNG_TAG = "pcg64/inverse-cdf"
 
@@ -80,10 +73,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.size
-
-    def __iter__(self) -> Iterator[HomodyneRecord]:
-        for t, v in zip(self.theta, self.x):
-            yield HomodyneRecord(float(t), float(v))
 
     @property
     def n(self) -> int:
@@ -161,6 +150,8 @@ def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
     """
     if delta_e < 0.0:
         raise ValueError(f"injected spread must be >= 0, got {delta_e!r}")
+    if not np.isfinite(delta_e):
+        raise ValueError(f"injected spread must be finite, got {delta_e!r}")
     if delta_e == 0.0:
         return data
     rng = _rng(seed)
@@ -188,6 +179,8 @@ def select_phase_window(data: Dataset, center: float, half_width: float) -> Data
     """
     if not half_width > 0.0:
         raise ValueError(f"window half-width must be positive, got {half_width!r}")
+    if not (np.isfinite(center) and np.isfinite(half_width)):
+        raise ValueError(f"window center and half-width must be finite, got {center!r} and {half_width!r}")
     keep = np.abs(_wrap_angle(data.theta - center)) < half_width
     meta = {
         "source": "derived",

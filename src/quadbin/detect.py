@@ -24,7 +24,6 @@ __all__ = [
     "three_bin_ratio",
     "three_bin_R",
     "analytic_three_bin_R",
-    "normally_ordered_moment",
     "normally_ordered_moments",
     "moment_matrix",
     "moment_matrix_from_moments",
@@ -123,11 +122,6 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
     return out
 
 
-def normally_ordered_moment(data, j: int) -> float:
-    """Single normally ordered moment of order ``j`` from a dataset."""
-    return float(normally_ordered_moments(data.x, j)[j])
-
-
 @dataclass(frozen=True)
 class MomentMatrix:
     """Hankel matrix of normally ordered moments and its smallest eigenvalue."""
@@ -156,7 +150,8 @@ def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
     vals, vecs = np.linalg.eigh(m)
     lam = float(vals[0])
     residual = np.linalg.norm(m @ vecs[:, 0] - lam * vecs[:, 0])
-    if residual > EIG_RESIDUAL_TOL * max(np.linalg.norm(m), 1.0):
+    # written so that a NaN residual or matrix norm fails the check too
+    if not residual <= EIG_RESIDUAL_TOL * max(np.linalg.norm(m), 1.0):
         raise EigensolverError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return MomentMatrix(n, m, lam)
 

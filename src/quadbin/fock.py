@@ -11,12 +11,11 @@ Loss and dephasing keep only the coherences rho[n, m] with n - m even, so the
 partial transpose is block-diagonal in the parity of a + b; the trace norm is
 summed over the two half-size parity blocks whenever the off-block entries are
 exactly zero. The states built here are real (float64) and stay real, so they
-are solved in real arithmetic; a complex matrix (say, from from_json) is not.
+are solved in real arithmetic; a complex matrix passed in by a caller is not.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ from .model import StateParams
 
 __all__ = [
     "FockDensityMatrix",
-    "TwoModeDensityMatrix",
     "squeezed_vacuum_fock",
     "apply_loss",
     "apply_phase_diffusion",
@@ -61,36 +59,6 @@ class FockDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def to_json(self) -> str:
-        entries = [[float(v.real), float(v.imag)] for v in np.asarray(self.mat, dtype=complex).ravel()]
-        return json.dumps(
-            {"cutoff": self.cutoff, "truncated_mass": self.truncated_mass, "entries": entries},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockDensityMatrix":
-        obj = json.loads(text)
-        nc = int(obj["cutoff"])
-        flat = np.array([complex(re, im) for re, im in obj["entries"]])
-        return cls(nc, flat.reshape(nc + 1, nc + 1), float(obj.get("truncated_mass", 0.0)))
-
-
-@dataclass(frozen=True)
-class TwoModeDensityMatrix:
-    """Two-mode density matrix; row index a * (cutoff + 1) + b encodes |a, b>."""
-
-    cutoff: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        dim = (self.cutoff + 1) ** 2
-        if np.asarray(self.mat).shape != (dim, dim):
-            raise ValueError("matrix shape does not match the per-mode cutoff")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityMatrix:
@@ -166,7 +134,7 @@ def _bs_isometry(cutoff: int) -> np.ndarray:
     return t
 
 
-def beam_split_with_vacuum(state: FockDensityMatrix) -> TwoModeDensityMatrix:
+def beam_split_with_vacuum(state: FockDensityMatrix) -> np.ndarray:
     """Mix the state with vacuum on a 50:50 beam splitter.
 
     The photons of each Fock component redistribute binomially over the two
@@ -174,14 +142,13 @@ def beam_split_with_vacuum(state: FockDensityMatrix) -> TwoModeDensityMatrix:
     preserved exactly.
     """
     t = _bs_isometry(state.cutoff)
-    return TwoModeDensityMatrix(state.cutoff, t @ np.asarray(state.mat) @ t.T)
+    return t @ np.asarray(state.mat) @ t.T
 
 
-def partial_transpose(two: TwoModeDensityMatrix) -> TwoModeDensityMatrix:
+def partial_transpose(two: np.ndarray) -> np.ndarray:
     """Transpose the second-mode indices; applying it twice is the identity."""
-    nc1 = two.cutoff + 1
-    m4 = np.asarray(two.mat).reshape(nc1, nc1, nc1, nc1)
-    return TwoModeDensityMatrix(two.cutoff, np.transpose(m4, (0, 3, 2, 1)).reshape(nc1**2, nc1**2))
+    nc1 = math.isqrt(len(two))
+    return np.transpose(two.reshape(nc1, nc1, nc1, nc1), (0, 3, 2, 1)).reshape(nc1**2, nc1**2)
 
 
 def entanglement_potential(state: FockDensityMatrix) -> float:
@@ -191,7 +158,7 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    pt = np.asarray(partial_transpose(beam_split_with_vacuum(state)).mat)
+    pt = partial_transpose(beam_split_with_vacuum(state))
     a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
     even = (a + b) % 2 == 0
     # the even and odd blocks are solved apart when nothing couples them

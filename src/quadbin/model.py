@@ -175,6 +175,3 @@ class QuadratureDistribution:
         lo = (ma[..., None] - 0.5) * scale
         hi = (ma[..., None] + 0.5) * scale
         return _interval_mass(lo, hi) @ w
-
-    def bin_probability(self, sigma: float, m: int) -> float:
-        return float(self.bin_probabilities(sigma, m))

@@ -1,58 +1,58 @@
 """Binning tests: index convention, histogram consistency, refinement nesting."""
 
-import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from quadbin.binning import BinnedHistogram, bin_index, bin_indices, histogram, histogram_outcomes
+from quadbin.binning import BinnedHistogram, bin_indices, histogram
 from quadbin.data import Dataset, sample_dataset
 from quadbin.model import QuadratureDistribution, StateParams
 
 
 class TestBinIndex:
     def test_direct_arithmetic(self):
-        assert bin_index(0.74, 0.5) == 1  # bin 1 covers [0.25, 0.75)
+        assert bin_indices([0.74], 0.5).tolist() == [1]  # bin 1 covers [0.25, 0.75)
 
     def test_center(self):
         for sigma in (0.1, 0.5, 1.0, 2.7):
-            assert bin_index(0.0, sigma) == 0
+            assert bin_indices([0.0], sigma).tolist() == [0]
 
     def test_right_boundary_goes_right(self):
-        assert bin_index(0.75, 0.5) == 2
-        assert bin_index(1.5, 1.0) == 2
-        assert bin_index(-0.5, 1.0) == 0  # left edge belongs to the bin
+        assert bin_indices([0.75], 0.5).tolist() == [2]
+        assert bin_indices([1.5], 1.0).tolist() == [2]
+        assert bin_indices([-0.5], 1.0).tolist() == [0]  # left edge belongs to the bin
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            bin_index(np.nan, 1.0)
+            bin_indices([np.nan], 1.0)
         with pytest.raises(ValueError):
             bin_indices(np.array([1.0, np.inf]), 1.0)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            bin_index(1.0, 0.0)
+            bin_indices([1.0], 0.0)
 
 
 class TestHistogram:
     def test_empty_dataset(self):
-        h = histogram(Dataset([], []), 1.0)
+        h = histogram(Dataset([], []).x, 1.0)
         assert h.total == 0 and h.counts == {}
 
     def test_total_equals_dataset_size(self):
         data = sample_dataset(StateParams(0.4, 0.2, 0.3), 5000, seed=2)
-        h = histogram(data, 0.7)
+        h = histogram(data.x, 0.7)
         assert h.total == data.n == sum(h.counts.values())
 
     def test_vacuum_central_fraction(self):
         data = sample_dataset(StateParams(0.0, 0.0, 0.0), 100_000, seed=12)
-        h = histogram(data, 1.0)
+        h = histogram(data.x, 1.0)
         assert h.count(0) / h.total == pytest.approx(ndtr(0.5) - ndtr(-0.5), abs=0.005)
 
     def test_counts_match_bin_index(self):
         x = np.random.default_rng(3).normal(0, 1, 400)
-        h = histogram_outcomes(x, 0.5)
+        h = histogram(x, 0.5)
         for m in list(h.counts):
             assert h.count(m) == int(np.sum(bin_indices(x, 0.5) == m))
 
@@ -64,7 +64,7 @@ class TestHistogram:
             p = StateParams(rng.uniform(0.1, 0.8), rng.uniform(0, 0.6), rng.uniform(0, 0.5))
             sigma = rng.uniform(0.3, 1.2)
             data = sample_dataset(p, n, seed=1000 + trial)
-            h = histogram(data, sigma)
+            h = histogram(data.x, sigma)
             dist = QuadratureDistribution(p)
             ms = np.arange(-30, 31)
             probs = dist.bin_probabilities(sigma, ms)
@@ -76,55 +76,28 @@ class TestHistogram:
     def test_scale_covariance_counts_bit_exact(self):
         # doubling both the outcomes and the bin size cannot move any count
         x = np.random.default_rng(9).normal(0, 1.3, 10_000)
-        h1 = histogram_outcomes(x, 0.7)
-        h2 = histogram_outcomes(2.0 * x, 1.4)
+        h1 = histogram(x, 0.7)
+        h2 = histogram(2.0 * x, 1.4)
         assert h1.counts == h2.counts
 
 
 class TestRefinement:
     def test_threefold_refinement_merges_exactly(self):
-        # center-aligned bins nest only under odd refinement factors; a
-        # factor-3 fine histogram re-merges into the coarse one exactly
+        # center-aligned bins nest only under odd refinement factors: fine
+        # bins 3m - 1, 3m, 3m + 1 of width sigma / 3 make up coarse bin m
         x = np.random.default_rng(17).normal(0, 2.0, 50_000)
         sigma = 0.75
-        coarse = histogram_outcomes(x, sigma)
-        fine = histogram_outcomes(x, sigma / 3.0)
-        merged = fine.coarsen(3)
-        assert merged.sigma == pytest.approx(sigma)
-        assert merged.counts == coarse.counts
-        assert merged.total == coarse.total
-
-    def test_even_factor_rejected(self):
-        h = histogram_outcomes(np.arange(10.0), 1.0)
-        with pytest.raises(ValueError):
-            h.coarsen(2)
+        fine = bin_indices(x, sigma / 3.0)
+        assert np.array_equal(np.floor(fine / 3.0 + 0.5), bin_indices(x, sigma))
 
     def test_merge_shards(self):
         x = np.random.default_rng(23).normal(0, 1, 9000)
-        whole = histogram_outcomes(x, 0.4)
-        parts = histogram_outcomes(x[:4000], 0.4).merge(histogram_outcomes(x[4000:], 0.4))
-        assert parts.counts == whole.counts and parts.total == whole.total
-
-    def test_merge_requires_same_sigma(self):
-        with pytest.raises(ValueError):
-            histogram_outcomes(np.arange(3.0), 1.0).merge(histogram_outcomes(np.arange(3.0), 0.5))
+        whole = histogram(x, 0.4)
+        parts = Counter(histogram(x[:4000], 0.4).counts) + Counter(histogram(x[4000:], 0.4).counts)
+        assert parts == whole.counts and parts.total() == whole.total
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        h = BinnedHistogram(0.5, {-2: 3, 0: 10, 1: 7}, 20)
-        back = BinnedHistogram.from_json(h.to_json())
-        assert back == h
-
-    def test_json_fields(self):
-        h = BinnedHistogram(1.0, {0: 2}, 2)
-        obj = json.loads(h.to_json())
-        assert obj["sigma"] == 1.0 and obj["total"] == 2 and obj["counts"] == {"0": 2}
-
-    def test_csv_layout(self):
-        h = BinnedHistogram(1.0, {1: 4, -1: 2, 0: 9}, 15)
-        assert h.to_csv() == "m,count\n-1,2\n0,9\n1,4\n"
-
     def test_invalid_total_rejected(self):
         with pytest.raises(ValueError):
             BinnedHistogram(1.0, {0: 3}, 4)

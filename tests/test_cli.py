@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadbin
 from quadbin.binning import histogram
 from quadbin.cli import main
 from quadbin.data import Dataset, inject_phase_noise, read_csv, sample_dataset, select_phase_window, write_csv
@@ -37,6 +43,27 @@ def run(capsys, *argv):
     out = json.loads(captured.out) if captured.out.strip() else None
     err = json.loads(captured.err) if captured.err.strip() else None
     return code, out, err
+
+
+def run_process(cwd, *argv):
+    """Run ``python -m quadbin.cli`` as its own process, where numpy warnings reach stderr as they would for a user."""
+    src = str(Path(quadbin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "quadbin.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def assert_one_json_answer(code, out, err):
+    """A failure writes exactly one JSON error to stderr; a success writes strict JSON to stdout and nothing to stderr."""
+    if code:
+        assert json.loads(err)["error"]["exit_code"] == code, err
+    else:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
 
 
 class TestSimulate:
@@ -245,7 +272,6 @@ class TestDegenerateInput:
 
     HUGE = [1e200, -1e200] * 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv, files, code",
         [
@@ -259,18 +285,41 @@ class TestDegenerateInput:
             # heavy-tailed x (kurtosis 4.5) passes every check before the variance sum overflows
             (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [-3.0, 3.0] + [0.0] * 7, "b": [1e80, -1e80] * 4}, 3),
             (["moments", "--in", "{a}"], {"a": HUGE}, 3),
+            # the order-2 eigenpair of the overflowed moments is NaN, which the residual check must catch
+            (["moments", "--in", "{a}", "--n-max", "2", "--bootstrap", "5"], {"a": HUGE[:4]}, 3),
             (["moments", "--in", "{a}", "--resample-size", "5"], {"a": [0.1, 1.2, -1.3]}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
-            "estimate-variance-sum-overflow", "moments-eigensolve-fails", "resample-larger-than-pool",
+            "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
+            "resample-larger-than-pool",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
         paths = {key: write_records(tmp_path / f"{key}.csv", xs) for key, xs in files.items()}
         got, _, err = run(capsys, *(arg.format(out=tmp_path / "out.csv", **paths) for arg in argv))
         assert got == code and err["error"]["exit_code"] == code
+
+
+class TestCleanStderr:
+    """Floating-point warnings never reach stderr, in a process of its own."""
+
+    @pytest.mark.parametrize(
+        "argv, xs, code",
+        [
+            (["estimate", "--in-x", "a.csv", "--in-p", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2),
+            (["moments", "--in", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 3),
+            # the int64 bin cast of one huge record overflows, and the command still succeeds
+            (["three-bin", "--in", "a.csv", "--bootstrap", "5"], [*np.random.default_rng(4).normal(0, 1, 400), 1e200], 0),
+        ],
+        ids=["estimate-overflow", "moments-overflow", "three-bin-huge-record"],
+    )
+    def test_stderr_is_one_json_error_or_empty(self, tmp_path, argv, xs, code):
+        write_records(tmp_path / "a.csv", xs)
+        got, out, err = run_process(tmp_path, *argv)
+        assert got == code
+        assert_one_json_answer(got, out, err)
 
 
 class TestEpCommand:
@@ -334,7 +383,7 @@ class TestPipelineComposition:
         params = StateParams(anchor.r, anchor.loss, 0.15)
         data = sample_dataset(params, 50_000, seed=55, phase_window=np.pi)
         mem = select_phase_window(inject_phase_noise(data, 0.25, seed=56), 0.0, 0.1)
-        point = three_bin_R(histogram(mem, 0.9), 1)
+        point = three_bin_R(histogram(mem.x, 0.9), 1)
         assert mem.n == sel["n_kept"]
         assert cli_row["r_point"] == point.r_value  # bit-for-bit
 
@@ -523,6 +572,8 @@ class TestBootstrapNumbersByHand:
 
 
 RECORDS = st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]), max_size=5)
+# option values with the edge cases a user can type: zero, negative, nan and inf
+VALUES = st.sampled_from(["0", "-0.5", "0.3", "1", "nan", "inf"])
 
 
 @pytest.fixture(scope="module")
@@ -531,23 +582,32 @@ def property_dir(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=RECORDS, p=RECORDS)
-def test_small_files_exit_ok_data_or_numeric(property_dir, x, p):
-    """0-5 records never give a usage error or a traceback, and every failure writes one JSON error."""
+@given(x=RECORDS, p=RECORDS, values=st.tuples(*[VALUES] * 6), cutoff=st.integers(-2, 12))
+def test_small_files_exit_ok_data_or_numeric(property_dir, x, p, values, cutoff):
+    """0-5 records never give a usage error or a traceback, odd option values at most a usage error,
+    and every run writes one JSON answer."""
     xs, ps = write_records(property_dir / "x.csv", x), write_records(property_dir / "p.csv", p)
+    out_path = str(property_dir / "out.csv")
+    r, loss, delta, center, half_width, delta_e = values
     quick = ["--bootstrap", "3"]
-    for argv in (
+    record_runs = [
         ["three-bin", "--in", xs, *quick],
         ["sweep-sigma", "--in", xs, "--steps", "3", "--out", str(property_dir / "sweep.csv"), *quick],
         ["moments", "--in", xs, *quick],
         ["compare", "--in", xs, *quick],
         ["estimate", "--in-x", xs, "--in-p", ps, *quick],
-    ):
+    ]
+    # the two-mode matrix grows as cutoff^4, so the cutoff stays small
+    option_runs = [
+        ["ep", "--r", r, "--loss", loss, "--delta", delta, "--cutoff", str(cutoff)],
+        ["inject", "--in", xs, "--delta-e", delta_e, "--out", out_path],
+        ["select", "--in", xs, "--center", center, "--half-width", half_width, "--out", out_path],
+    ]
+    for argv in record_runs + option_runs:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # any warning raises, so none can slip onto stderr unseen
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
             code = main(argv)
-        assert code in (0, 2, 3), (argv, x, p, err.getvalue())
-        errors = [json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")]
-        assert len(errors) == (code != 0)
-        if code:
-            assert errors[0]["error"]["exit_code"] == code
+        assert code in ((0, 2, 3) if argv in record_runs else (0, 1, 2, 3)), (argv, x, p, err.getvalue())
+        assert_one_json_answer(code, out.getvalue(), err.getvalue())

@@ -32,14 +32,6 @@ class TestDatasetType:
         with pytest.raises(TypeError):
             d.meta["source"] = "hacked"
 
-    def test_iterates_as_records(self):
-        from quadbin.data import HomodyneRecord
-
-        d = Dataset([0.1, 0.2], [1.0, -1.0])
-        records = list(d)
-        assert records == [HomodyneRecord(0.1, 1.0), HomodyneRecord(0.2, -1.0)]
-
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset([0.0], [np.nan])
@@ -124,6 +116,12 @@ class TestInject:
         d = sample_dataset(StateParams(0.2, 0.0, 0.1), 1000, seed=1)
         assert np.array_equal(inject_phase_noise(d, 0.2, 9).theta, inject_phase_noise(d, 0.2, 9).theta)
 
+    @pytest.mark.parametrize("delta_e", [np.inf, np.nan])
+    def test_rejects_nonfinite_spread(self, delta_e):
+        # an empty dataset has no record that would turn non-finite and trip the Dataset check
+        with pytest.raises(ValueError, match="finite"):
+            inject_phase_noise(Dataset([], []), delta_e, seed=1)
+
 
 class TestSelect:
     def test_all_zero_thetas_kept(self):
@@ -155,6 +153,12 @@ class TestSelect:
         d = Dataset([1.0, 2.0], [0.0, 0.0])
         kept = select_phase_window(d, 0.0, 0.01)
         assert kept.n == 0 and kept.meta["empty_selection"]
+
+    @pytest.mark.parametrize("center, half_width", [(np.inf, 0.1), (np.nan, 0.1), (0.0, np.inf)])
+    def test_rejects_nonfinite_window(self, center, half_width):
+        d = Dataset([0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            select_phase_window(d, center, half_width)
 
     def test_scan_selection_recovers_p_quadrature(self):
         p = StateParams(0.6, 0.2, 0.15)

@@ -10,12 +10,11 @@ from quadbin.detect import (
     analytic_three_bin_R,
     moment_matrix,
     moment_matrix_from_moments,
-    normally_ordered_moment,
     normally_ordered_moments,
     three_bin_R,
     three_point_R,
 )
-from quadbin.errors import UndefinedStatisticError
+from quadbin.errors import EigensolverError, UndefinedStatisticError
 from quadbin.estimate import params_from_variances
 from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import REPLACEMENT, BootstrapSpec, bootstrap, three_bin_statistic
@@ -104,7 +103,7 @@ class TestAnalyticThreeBin:
         dist = QuadratureDistribution(p)
         for sigma, d in ((0.6, 1), (1.0, 1), (0.5, 2)):
             boot = bootstrap(data, BootstrapSpec(10_000, 100, 3, REPLACEMENT), three_bin_statistic(sigma, d))
-            point = three_bin_R(histogram(data, sigma), d)
+            point = three_bin_R(histogram(data.x, sigma), d)
             assert abs(point.r_value - analytic_three_bin_R(dist, sigma, d)) <= 4 * boot.std
 
 
@@ -124,7 +123,7 @@ class TestNormallyOrderedMoments:
 
     def test_vacuum_second_moment_vanishes(self):
         data = sample_dataset(StateParams(0.0, 0.0, 0.0), 100_000, seed=14)
-        assert normally_ordered_moment(data, 2) == pytest.approx(0.0, abs=0.01)
+        assert normally_ordered_moments(data.x, 2)[2] == pytest.approx(0.0, abs=0.01)
 
     def test_recurrence_matches_hermval_oracle(self):
         # independent evaluation of the physicists' polynomials
@@ -139,6 +138,11 @@ class TestNormallyOrderedMoments:
 
 
 class TestMomentMatrix:
+    @pytest.mark.parametrize("moments", [[1.0, np.nan, 0.5], [1.0, 0.0, np.inf]], ids=["nan", "inf"])
+    def test_nonfinite_moments_fail_the_residual_check(self, moments):
+        with np.errstate(invalid="ignore"), pytest.raises(EigensolverError):
+            moment_matrix_from_moments(moments, 2)
+
     def test_exact_injection_two_by_two(self):
         v = 10**-0.23  # the -2.3 dB squeezed variance
         mm = moment_matrix_from_moments([1.0, 0.0, v - 1.0], 2)

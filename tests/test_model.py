@@ -176,7 +176,7 @@ class TestBinProbability:
     def test_vacuum_central_bin(self):
         dist = QuadratureDistribution(StateParams(0.0, 0.0, 0.0))
         expected = ndtr(0.5) - ndtr(-0.5)
-        assert dist.bin_probability(1.0, 0) == pytest.approx(expected, abs=1e-13)
+        assert dist.bin_probabilities(1.0, 0) == pytest.approx(expected, abs=1e-13)
         assert expected == pytest.approx(0.38292, abs=5e-6)
 
     def test_even_in_m(self):
@@ -184,7 +184,7 @@ class TestBinProbability:
         for _ in range(10):
             p = StateParams(rng.uniform(0, 1), rng.uniform(0, 0.8), rng.uniform(0, 0.6))
             dist = QuadratureDistribution(p)
-            assert dist.bin_probability(0.7, 3) == pytest.approx(dist.bin_probability(0.7, -3), rel=1e-12)
+            assert dist.bin_probabilities(0.7, 3) == pytest.approx(dist.bin_probabilities(0.7, -3), rel=1e-12)
 
     def test_sums_to_one(self):
         ms = np.arange(-200, 201)
@@ -202,12 +202,12 @@ class TestBinProbability:
                 - ndtr((m - 0.5) * sigma / np.sqrt(rotated_variance(p, th))),
                 p.delta,
             )
-            assert dist.bin_probability(sigma, m) == pytest.approx(oracle, rel=1e-10)
+            assert dist.bin_probabilities(sigma, m) == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_bad_sigma(self):
         dist = QuadratureDistribution(StateParams(0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
-            dist.bin_probability(0.0, 0)
+            dist.bin_probabilities(0.0, 0)
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
