@@ -21,7 +21,6 @@ import numpy as np
 
 from .binning import histogram
 from .data import (
-    Dataset,
     inject_phase_noise,
     read_csv,
     sample_dataset,
@@ -44,6 +43,7 @@ from .model import QuadratureDistribution, StateParams
 from .stats import (
     REPLACEMENT,
     SUBSAMPLE,
+    BootstrapResult,
     BootstrapSpec,
     bootstrap,
     compare_methods,
@@ -188,26 +188,19 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
     # one shared resample stream so neighbouring sigma values are paired
     stats = [three_bin_statistic(s, d) for s in sigmas]
-
-    def ratios_then_flags(xs: np.ndarray) -> tuple[list[float], bool]:
-        ratios, flags = zip(*(stat(xs) for stat in stats))
-        return [*ratios, *flags], False
-
-    values, _ = resample_values(spec, [data.x], [0], ratios_then_flags)
+    values = resample_values(spec, [data.x], [0], lambda xs: [stat(xs) for stat in stats])
 
     rows = []
-    for s, row, flags in zip(sigmas, values[:steps], values[steps:]):
-        mean = float(row.mean())
-        n_flagged = int(flags.sum())
+    for s, boot in zip(sigmas, map(BootstrapResult.of, values)):
         rows.append(
             {
                 "sigma": s,
-                "r_mean": mean,
-                "r_std": float(row.std()),
+                "r_mean": boot.mean,
+                "r_std": boot.std,
                 "r_analytic": analytic_three_bin_R(dist, s, d) if dist is not None else None,
                 # a row whose every resample was pinned holds no ratio at all
-                "nonclassical": mean < 1.0 and n_flagged < spec.n_resamples,
-                "n_flagged": n_flagged,
+                "nonclassical": boot.mean < 1.0 and boot.n_flagged < spec.n_resamples,
+                "n_flagged": boot.n_flagged,
             }
         )
     usable = [row for row in rows if row["n_flagged"] < spec.n_resamples]
@@ -236,10 +229,9 @@ def cmd_moments(cfg: dict) -> dict:
     spec = _bootstrap_spec(cfg, data.n)
     orders = range(2, n_max + 1)
     statistic = min_eigenvalue_statistic(*orders)
-    lam, _ = resample_values(spec, [data.x], [0], statistic)
-    points, _ = statistic(data.x)
+    lam = resample_values(spec, [data.x], [0], statistic)
     rows = []
-    for n, point, row in zip(orders, points, lam):
+    for n, point, row in zip(orders, statistic(data.x), lam):
         mean = float(row.mean())
         std = spread(row)
         rows.append(
@@ -258,24 +250,25 @@ def cmd_moments(cfg: dict) -> dict:
 # ---------------------------------------------------------------- estimate
 
 
-def _estimate_statistic(data_x: Dataset, data_p: Dataset) -> tuple[list[float], bool]:
-    """(r, loss, delta) of one paired resample; flagged when the inversion fails."""
+def _estimate_statistic(x: np.ndarray, p: np.ndarray) -> list[float]:
+    """(r, loss, delta) of one paired resample; NaN when the inversion fails."""
     try:
-        pb = estimate_params(summarize(data_x, data_p))
+        pb = estimate_params(summarize(x, p))
     except (EstimationError, ValueError):
-        return [np.nan] * 3, True
-    return [pb.r, pb.loss, pb.delta], False
+        return [np.nan] * 3
+    return [pb.r, pb.loss, pb.delta]
 
 
 def cmd_estimate(cfg: dict) -> dict:
     data_x = read_csv(cfg["in_x"])
     data_p = read_csv(cfg["in_p"])
-    summary = summarize(data_x, data_p)
+    summary = summarize(data_x.x, data_p.x)
     params = estimate_params(summary)
     spec = _bootstrap_spec(cfg, min(data_x.n, data_p.n))
-    draws, failed = resample_values(spec, [data_x, data_p], [1, 2], _estimate_statistic)
+    draws = resample_values(spec, [data_x.x, data_p.x], [1, 2], _estimate_statistic)
     # failed draws are dropped from the spread
-    std_r, std_l, std_delta = (None if failed.all() else float(row[~failed].std()) for row in draws)
+    failed = np.isnan(draws).any(axis=0)
+    std_r, std_l, std_delta = (None if failed.all() else spread(row[~failed]) for row in draws)
     return {
         "r": params.r,
         "l": params.loss,

@@ -90,10 +90,6 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, source={self.meta.get('source', '?')!r})"
 
-    def take(self, indices) -> Dataset:
-        """The records at ``indices`` (repeats allowed) as a new dataset without metadata."""
-        return Dataset(self.theta[indices], self.x[indices])
-
 
 def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(list(entropy))

@@ -58,16 +58,16 @@ class MomentSummary:
             raise ValueError("kurtosis must be finite")
 
 
-def summarize(data_x, data_p) -> MomentSummary:
-    """Summary moments from squeezing-axis and anti-squeezing-axis datasets.
+def summarize(x, p) -> MomentSummary:
+    """Summary moments from squeezing-axis and anti-squeezing-axis outcome arrays.
 
     Uses divide-by-N central moments throughout, matching the raw sampling
     estimators used elsewhere. Raises UndefinedStatisticError when the data fix no summary.
     """
-    if data_x.n < 2 or data_p.n < 2:
+    if len(x) < 2 or len(p) < 2:
         raise UndefinedStatisticError("need at least two records per quadrature")
-    dx = data_x.x - data_x.x.mean()
-    dp = data_p.x - data_p.x.mean()
+    dx = x - x.mean()
+    dp = p - p.mean()
     # numpy scalars: an overflowing power gives inf, where a float's raises OverflowError
     var_x, var_p = (dx**2).mean(), (dp**2).mean()
     if var_x == 0.0 or var_p == 0.0:

@@ -29,8 +29,9 @@ __all__ = [
 SUBSAMPLE = "subsample-from-pool"
 REPLACEMENT = "resample-with-replacement"
 
-# A statistic maps one resample per pool to (value or vector of values, degenerate_flag).
-Statistic = Callable[..., tuple[float | list[float], bool]]
+# A statistic maps one 1-D float array per pool to a float or a list of floats;
+# NaN marks a value the resample leaves undefined (an empty bin, a failed inversion).
+Statistic = Callable[..., float | list[float]]
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,23 @@ class BootstrapSpec:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    mean: float
-    std: float
+    """The B values of one statistic, undefined ones pinned to 0.0 and counted in ``n_flagged``."""
+
     samples: np.ndarray
     n_flagged: int = 0
+
+    @classmethod
+    def of(cls, values) -> BootstrapResult:
+        undefined = np.isnan(values)
+        return cls(np.where(undefined, 0.0, values), int(undefined.sum()))
+
+    @property
+    def mean(self) -> float:
+        return float(self.samples.mean())
+
+    @property
+    def std(self) -> float:
+        return spread(self.samples)
 
 
 @dataclass(frozen=True)
@@ -93,8 +107,7 @@ class ViolationReport:
 def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 0) -> np.ndarray:
     """Index set of resample ``b``, a pure function of (spec, pool, b, stream).
 
-    Independent of evaluation order, so parallel workers agree with the
-    serial loop.
+    Independent of evaluation order, so any resample can be rebuilt on its own.
     """
     if spec.mode == SUBSAMPLE and pool_size < spec.resample_size:
         raise ValueError(f"pool of {pool_size} cannot supply {spec.resample_size} without replacement")
@@ -104,50 +117,45 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
     return rng.integers(0, pool_size, size=spec.resample_size)
 
 
-def resample_values(spec: BootstrapSpec, pools, streams, statistic: Statistic) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``statistic`` on ``n_resamples`` paired resamples of ``pools``.
+def resample_values(spec: BootstrapSpec, pools, streams, statistic: Statistic) -> np.ndarray:
+    """Evaluate ``statistic`` on ``n_resamples`` paired resamples of the 1-D arrays ``pools``.
 
-    A pool is a 1-D array or a Dataset. Resample ``b`` draws one index set per
-    pool from that pool's stream and takes those records; the statistic gets
-    one resample per pool and returns (value or vector of values, degenerate
-    flag). Returns the values as a (k, B) array, one contiguous row per
-    component, and the (B,) flags.
+    Resample ``b`` draws one index set per pool from that pool's stream; the
+    statistic gets one resampled array per pool. Returns the values as a
+    (k, B) array, one contiguous row per component, NaN entries included.
     """
     values = None
-    flags = np.zeros(spec.n_resamples, dtype=bool)
     for b in range(spec.n_resamples):
-        samples = (pool.take(resample_indices(spec, len(pool), b, s)) for pool, s in zip(pools, streams))
-        value, flags[b] = statistic(*samples)
+        value = statistic(*(pool[resample_indices(spec, len(pool), b, s)] for pool, s in zip(pools, streams)))
         if values is None:
             values = np.empty((np.size(value), spec.n_resamples))
         values[:, b] = value
-    return values, flags
+    return values
 
 
-def bootstrap(data, spec: BootstrapSpec, statistic: Statistic, stream: int = 0) -> BootstrapResult:
-    """Evaluate ``statistic`` on ``n_resamples`` resamples of the dataset.
+def bootstrap(data, spec: BootstrapSpec, statistic: Statistic) -> BootstrapResult:
+    """Evaluate ``statistic`` on ``n_resamples`` resamples of the dataset's outcomes.
 
-    Degenerate resamples keep the statistic's pinned value and are counted in
-    ``n_flagged``. The spread is the divide-by-B standard deviation of the B
-    values, which are the full empirical estimator distribution.
+    The B values are the full empirical estimator distribution; undefined
+    ones are pinned to 0.0 and counted (see BootstrapResult).
     """
-    values, flags = resample_values(spec, [data.x], [stream], statistic)
-    return BootstrapResult(float(values[0].mean()), float(values[0].std()), values[0], int(flags.sum()))
+    return BootstrapResult.of(resample_values(spec, [data.x], [0], statistic)[0])
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
     """Binned ratio statistic at fixed (sigma, d) for use under the bootstrap.
 
-    A resample with an empty centre or side bin is pinned to 0.0 and flagged.
+    A resample with an empty centre or side bin has no ratio and gives NaN.
     """
+    if d < 1:
+        raise ValueError(f"bin distance must be a positive integer, got {d!r}")
 
-    def stat(x: np.ndarray) -> tuple[float, bool]:
+    def stat(x: np.ndarray) -> float:
         m = bin_indices(x, sigma)
         c0, cpos, cneg = (int(np.count_nonzero(m == k)) for k in (0, d, -d))
         if c0 == 0 or cpos == 0 or cneg == 0:
-            # pinned to the degenerate value; the flag keeps it out of silent use
-            return 0.0, True
-        return three_bin_ratio(cpos, cneg, c0, sigma, d), False
+            return np.nan
+        return three_bin_ratio(cpos, cneg, c0, sigma, d)
 
     return stat
 
@@ -159,19 +167,23 @@ def min_eigenvalue_statistic(*orders: int) -> Statistic:
     """
     j_max = 2 * max(orders) - 2
 
-    def stat(x: np.ndarray) -> tuple[list[float], bool]:
+    def stat(x: np.ndarray) -> list[float]:
         moms = normally_ordered_moments(x, j_max)
-        return [moment_matrix_from_moments(moms, n).lambda_min for n in orders], False
+        return [moment_matrix_from_moments(moms, n).lambda_min for n in orders]
 
     return stat
 
 
 def spread(samples) -> float:
-    """Divide-by-B standard deviation of the samples; exactly 0.0 when every sample is the same.
+    """Divide-by-B standard deviation of the samples; exactly 0.0 when they differ only by rounding.
 
-    np.std of equal values rounds to a few ulps (4.4e-16 for 100 copies of 1.0833).
+    np.std of equal values rounds to a few ulps (4.4e-16 for 100 copies of
+    1.0833), and reorderings of one pool (whole-pool resamples) round one
+    estimate up to about 8 ulps apart. A range within 64 ulps of the largest
+    sample is read as no spread; sampling spreads are many orders above it.
     """
-    return 0.0 if np.ptp(samples) == 0.0 else float(np.std(samples))
+    s = np.asarray(samples, dtype=float)
+    return 0.0 if np.ptp(s) <= 64 * np.finfo(float).eps * np.abs(s).max() else float(np.std(s))
 
 
 def _violation(samples, limit: float, method: str, params: dict, n_flagged: int) -> ViolationReport:
@@ -195,14 +207,7 @@ def violation_moment(samples, n: int | None = None, n_flagged: int = 0) -> Viola
     return _violation(samples, 0.0, "moment", params, n_flagged)
 
 
-def compare_methods(
-    data,
-    sigma: float,
-    d: int,
-    moment_orders,
-    spec: BootstrapSpec,
-    stream: int = 0,
-) -> list[ViolationReport]:
+def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSpec) -> list[ViolationReport]:
     """Paired comparison of the bin test and the moment method on one dataset.
 
     Every method is evaluated on the identical resample index sets, so the
@@ -210,12 +215,8 @@ def compare_methods(
     """
     orders = sorted(set(int(n) for n in moment_orders))
     ratio, eigenvalues = three_bin_statistic(sigma, d), min_eigenvalue_statistic(*orders)
-
-    def stat(x: np.ndarray) -> tuple[list[float], bool]:
-        r, bad = ratio(x)
-        return [r, *eigenvalues(x)[0]], bad
-
-    values, flags = resample_values(spec, [data.x], [stream], stat)
-    reports = [violation_bin(values[0], sigma=sigma, d=d, n_flagged=int(flags.sum()))]
+    values = resample_values(spec, [data.x], [0], lambda x: [ratio(x), *eigenvalues(x)])
+    ratios = BootstrapResult.of(values[0])
+    reports = [violation_bin(ratios.samples, sigma=sigma, d=d, n_flagged=ratios.n_flagged)]
     reports.extend(violation_moment(row, n=n) for n, row in zip(orders, values[1:]))
     return reports

@@ -21,7 +21,6 @@ from scipy.special import ndtr
 
 from quadbin.binning import bin_indices
 from quadbin.data import (
-    Dataset,
     inject_phase_noise,
     sample_dataset,
     select_phase_window,
@@ -82,7 +81,7 @@ def report(cid: str, ok: bool, detail: str) -> bool:
 
 
 def ratio_point(x: np.ndarray, sigma: float, d: int) -> float:
-    return three_bin_statistic(sigma, d)(x)[0]
+    return three_bin_statistic(sigma, d)(x)
 
 
 def oracle_ratio(params: StateParams, sigma: float, d: int) -> float:
@@ -321,7 +320,7 @@ def injected_scan_estimates():
             ip = resample_indices(spec, dp.n, b, stream=2)
             try:
                 pb = estimate_params(
-                    summarize(Dataset(dx.theta[ix], dx.x[ix]), Dataset(dp.theta[ip], dp.x[ip]))
+                    summarize(dx.x[ix], dp.x[ip])
                 )
             except EstimationError:
                 flagged += 1

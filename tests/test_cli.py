@@ -27,6 +27,14 @@ from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indice
 ANCHOR = StateParams(1.0409, 0.414, 0.15)
 
 
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The README's 40k-record run.csv (simulate ... --n 40000 --seed 7)."""
+    path = tmp_path_factory.mktemp("readme") / "run.csv"
+    write_csv(sample_dataset(ANCHOR, 40_000, seed=7), path)
+    return str(path)
+
+
 def write_records(path, xs):
     write_csv(Dataset(np.zeros(len(xs)), np.array(xs, dtype=float)), path)
     return str(path)
@@ -205,6 +213,18 @@ class TestSweepCommand:
         assert payload["min_sigma"] == float(rows[1]["sigma"])
         assert payload["min_r_mean"] == float(rows[1]["r_mean"]) > 0.0
 
+    def test_whole_pool_rows_have_zero_spread(self, capsys, tmp_path, readme_run):
+        # every resample is a reordering of the pool, so each ratio differs only by rounding
+        out = tmp_path / "sweep.csv"
+        code, payload, _ = run(
+            capsys, "sweep-sigma", "--in", readme_run, "--resample-size", "40000", "--steps", "3",
+            "--bootstrap", "20", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [dict(zip(lines[0].split(","), line.split(",")))["r_std"] for line in lines[1:]] == ["0.0"] * 3
+        assert payload["min_r_std"] == 0.0
+
     def test_every_row_pinned_is_a_data_error(self, capsys, tmp_path):
         path = write_pinning_file(tmp_path / "d.csv", [3.0])
         code, _, err = run(capsys, "sweep-sigma", "--in", path, "--d", "3", "--out", str(tmp_path / "sweep.csv"))
@@ -240,6 +260,13 @@ class TestMomentsCommand:
         assert [(row["lambda_std"], row["v"]) for row in payload["rows"]] == [(0.0, None), (0.0, None)]
 
 
+    def test_whole_pool_resamples_have_no_violation_degree(self, capsys, readme_run):
+        # reorderings of one pool round the Hermite means a few ulps apart; that is no spread
+        code, payload, _ = run(capsys, "moments", "--in", readme_run, "--resample-size", "40000", "--bootstrap", "20")
+        assert code == 0
+        assert [(row["lambda_std"], row["v"]) for row in payload["rows"]] == [(0.0, None)] * 5
+
+
 class TestEstimateCommand:
     def test_recovers_simulation_parameters(self, capsys, tmp_path):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)
@@ -268,9 +295,10 @@ class TestEstimateCommand:
 
 
 class TestDegenerateInput:
-    """Data that fix no statistic exit 2, failed numerics exit 3, oversized flags stay usage errors."""
+    """Data that fix no statistic exit 2, failed numerics exit 3, bad bin distances and oversized flags are usage errors."""
 
     HUGE = [1e200, -1e200] * 4
+    NORMAL = list(np.random.default_rng(4).normal(0, 1, 400))
 
     @pytest.mark.parametrize(
         "argv, files, code",
@@ -288,12 +316,16 @@ class TestDegenerateInput:
             # the order-2 eigenpair of the overflowed moments is NaN, which the residual check must catch
             (["moments", "--in", "{a}", "--n-max", "2", "--bootstrap", "5"], {"a": HUGE[:4]}, 3),
             (["moments", "--in", "{a}", "--resample-size", "5"], {"a": [0.1, 1.2, -1.3]}, 1),
+            (["sweep-sigma", "--in", "{a}", "--d", "0", "--steps", "3", "--out", "{out}"], {"a": NORMAL}, 1),
+            (["sweep-sigma", "--in", "{a}", "--d", "-1", "--steps", "3", "--out", "{out}"], {"a": NORMAL}, 1),
+            (["compare", "--in", "{a}", "--d", "0", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["compare", "--in", "{a}", "--d", "-1", "--bootstrap", "5"], {"a": NORMAL}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
             "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
-            "resample-larger-than-pool",
+            "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
@@ -534,7 +566,7 @@ class TestBootstrapNumbersByHand:
         for b in range(spec.n_resamples):
             xs = data.x[resample_indices(spec, data.n, b)]
             for i, s in enumerate(sigmas):
-                r_vals[i, b] = three_bin_statistic(float(s), 1)(xs)[0]
+                r_vals[i, b] = three_bin_statistic(float(s), 1)(xs)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 4
         for row, s, vals in zip(rows, sigmas, r_vals):
@@ -558,7 +590,7 @@ class TestBootstrapNumbersByHand:
             ix = resample_indices(spec, dx.n, b, stream=1)
             ip = resample_indices(spec, dp.n, b, stream=2)
             try:
-                pb = estimate_params(summarize(Dataset(dx.theta[ix], dx.x[ix]), Dataset(dp.theta[ip], dp.x[ip])))
+                pb = estimate_params(summarize(dx.x[ix], dp.x[ip]))
             except (EstimationError, ValueError):
                 failed += 1
                 continue

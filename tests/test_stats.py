@@ -10,11 +10,13 @@ from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import (
     REPLACEMENT,
     SUBSAMPLE,
+    BootstrapResult,
     BootstrapSpec,
     bootstrap,
     compare_methods,
     min_eigenvalue_statistic,
     resample_indices,
+    resample_values,
     spread,
     three_bin_statistic,
     violation_bin,
@@ -39,6 +41,29 @@ class TestSpecValidation:
             resample_indices(spec, 50, 0)
 
 
+class TestResampleValues:
+    def test_returns_one_row_per_component_with_nan_kept(self):
+        pool = np.arange(30, dtype=float)
+        spec = BootstrapSpec(10, 6, 4, SUBSAMPLE)
+        values = resample_values(spec, [pool], [0], lambda x: [x[0], np.nan])
+        assert values.shape == (2, 6)
+        assert np.isnan(values[1]).all()
+        assert np.array_equal(values[0], [pool[resample_indices(spec, 30, b)][0] for b in range(6)])
+
+
+class TestBootstrapResult:
+    def test_pins_nan_to_zero_and_counts_it(self):
+        res = BootstrapResult.of(np.array([0.5, np.nan, 1.5, np.nan]))
+        assert res.samples.tolist() == [0.5, 0.0, 1.5, 0.0] and res.n_flagged == 2
+        assert res.mean == 0.5
+
+    def test_finite_values_stay_bit_identical(self):
+        values = np.random.default_rng(5).normal(0.6, 0.04, 50)
+        res = BootstrapResult.of(values)
+        assert res.n_flagged == 0
+        assert np.array_equal(res.samples.view(np.int64), values.view(np.int64))
+
+
 class TestBootstrap:
     def test_deterministic(self):
         spec = BootstrapSpec(5_000, 20, 123, SUBSAMPLE)
@@ -49,7 +74,7 @@ class TestBootstrap:
 
     def test_constant_statistic_has_zero_spread(self):
         spec = BootstrapSpec(100, 10, 0, REPLACEMENT)
-        res = bootstrap(VACUUM_DATA, spec, lambda x: (1.0, False))
+        res = bootstrap(VACUUM_DATA, spec, lambda x: 1.0)
         assert res.std == 0.0 and res.mean == 1.0
 
     def test_vacuum_ratio_sits_at_the_classical_boundary(self):
@@ -123,6 +148,12 @@ class TestViolationReports:
         samples = np.array([0.56, 0.60, 0.64])
         assert spread(samples) == np.std(samples)
 
+    def test_rounding_level_spread_is_zero(self):
+        # reorderings of one pool give the same estimate up to a few ulps
+        ulps = np.nextafter(-0.4137135046258556, 0.0) - -0.4137135046258556
+        assert spread(-0.4137135046258556 + ulps * np.array([0, 3, 7, 1])) == 0.0
+        assert spread(np.array([1.0, 1.0 + 1e-12])) > 0.0
+
     def test_sign_matches_mean_versus_limit(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -141,7 +172,7 @@ class TestCompareMethods:
         r_vals, l2, l4 = [], [], []
         for b in range(spec.n_resamples):
             xs = data.x[resample_indices(spec, data.n, b)]
-            r_vals.append(three_bin_statistic(1.0, 1)(xs)[0])
+            r_vals.append(three_bin_statistic(1.0, 1)(xs))
             moms = normally_ordered_moments(xs, 6)
             l2.append(moment_matrix_from_moments(moms, 2).lambda_min)
             l4.append(moment_matrix_from_moments(moms, 4).lambda_min)
@@ -158,8 +189,12 @@ class TestCompareMethods:
 
     def test_statistic_under_bootstrap_matches_module_degenerate_policy(self):
         stat = three_bin_statistic(1.0, 2)
-        value, flagged = stat(np.zeros(50))
-        assert value == 0.0 and flagged
+        assert np.isnan(stat(np.zeros(50)))
+
+    def test_statistic_rejects_nonpositive_bin_distance(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="bin distance"):
+                three_bin_statistic(1.0, d)
 
 
 class TestNoFalsePositives:
@@ -172,7 +207,7 @@ class TestNoFalsePositives:
             lams = {n: [] for n in (2, 3, 4)}
             for trial in range(50):
                 data = sample_dataset(params, 10_000, seed=3_000 + 100 * i + trial)
-                r_vals.append(three_bin_statistic(1.0, 1)(data.x)[0])
+                r_vals.append(three_bin_statistic(1.0, 1)(data.x))
                 moms = normally_ordered_moments(data.x, 6)
                 for n in lams:
                     lams[n].append(moment_matrix_from_moments(moms, n).lambda_min)
