@@ -71,9 +71,8 @@ from .stats import (
     min_eigenvalue_statistic,
     resample_indices,
     resample_values,
+    significant,
     three_bin_statistic,
-    violation_bin,
-    violation_moment,
 )
 
 __version__ = "0.1.0"

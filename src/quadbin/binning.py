@@ -14,8 +14,8 @@ def bin_indices(x, sigma: float) -> np.ndarray:
 
     The left edge belongs to the bin, the right edge to the next one.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"bin size must be positive, got {sigma!r}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"bin size must be positive and finite, got {sigma!r}")
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("outcomes must be finite")

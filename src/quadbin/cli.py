@@ -45,13 +45,14 @@ from .stats import (
     SUBSAMPLE,
     BootstrapResult,
     BootstrapSpec,
+    ViolationReport,
     bootstrap,
     compare_methods,
     min_eigenvalue_statistic,
     resample_values,
+    significant,
     spread,
     three_bin_statistic,
-    violation_bin,
 )
 
 EXIT_OK = 0
@@ -156,7 +157,7 @@ def cmd_three_bin(cfg: dict) -> dict:
     sigma, d = float(cfg["sigma"]), int(cfg["d"])
     point = three_bin_R(histogram(data.x, sigma), d)
     boot = bootstrap(data, spec, three_bin_statistic(sigma, d))
-    report = violation_bin(boot.samples, sigma=sigma, d=d, n_flagged=boot.n_flagged)
+    (report,) = significant([ViolationReport.of("three-bin", {"sigma": sigma, "d": d}, boot)])
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
     return {
@@ -166,7 +167,7 @@ def cmd_three_bin(cfg: dict) -> dict:
         "r_mean": report.mean,
         "r_std": report.std,
         "v": report.v,
-        "nonclassical": report.mean < 1.0,
+        "nonclassical": report.detected,
         "analytic": analytic_three_bin_R(dist, sigma, d) if dist is not None else None,
         "n_flagged": report.n_flagged,
     }
@@ -191,16 +192,16 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
     values = resample_values(spec, [data.x], [0], lambda xs: [stat(xs) for stat in stats])
 
     rows = []
-    for s, boot in zip(sigmas, map(BootstrapResult.of, values)):
+    for s, row in zip(sigmas, values):
+        rep = ViolationReport.of("three-bin", {"sigma": s, "d": d}, BootstrapResult.of(row))
         rows.append(
             {
                 "sigma": s,
-                "r_mean": boot.mean,
-                "r_std": boot.std,
+                "r_mean": rep.mean,
+                "r_std": rep.std,
                 "r_analytic": analytic_three_bin_R(dist, s, d) if dist is not None else None,
-                # a row whose every resample was pinned holds no ratio at all
-                "nonclassical": boot.mean < 1.0 and boot.n_flagged < spec.n_resamples,
-                "n_flagged": boot.n_flagged,
+                "nonclassical": rep.detected,
+                "n_flagged": rep.n_flagged,
             }
         )
     usable = [row for row in rows if row["n_flagged"] < spec.n_resamples]
@@ -232,16 +233,15 @@ def cmd_moments(cfg: dict) -> dict:
     lam = resample_values(spec, [data.x], [0], statistic)
     rows = []
     for n, point, row in zip(orders, statistic(data.x), lam):
-        mean = float(row.mean())
-        std = spread(row)
+        rep = ViolationReport.of("moment", {"n": n}, BootstrapResult.of(row))
         rows.append(
             {
                 "n": n,
                 "lambda_point": point,
-                "lambda_mean": mean,
-                "lambda_std": std,
-                "v": (0.0 - mean) / std if std > 0 else None,
-                "nonclassical": mean < 0.0,
+                "lambda_mean": rep.mean,
+                "lambda_std": rep.std,
+                "v": rep.v,
+                "nonclassical": rep.detected,
             }
         )
     return {"rows": rows}

@@ -18,6 +18,7 @@ from .errors import EigensolverError, UndefinedStatisticError
 from .model import QuadratureDistribution
 
 __all__ = [
+    "CLASSICAL_LIMIT",
     "ThreeBinResult",
     "MomentMatrix",
     "three_point_R",
@@ -28,6 +29,9 @@ __all__ = [
     "moment_matrix",
     "moment_matrix_from_moments",
 ]
+
+# Every classical state reaches at least this value of each detector's statistic.
+CLASSICAL_LIMIT = {"three-bin": 1.0, "moment": 0.0}
 
 MIN_MOMENT_ORDER = 2
 MAX_MOMENT_ORDER = 8
@@ -56,7 +60,8 @@ class ThreeBinResult:
 
     ``low_count`` marks the degenerate case where a side bin was empty and the
     statistic was pinned to 0; bootstrap spread, not this point value, should
-    then carry the uncertainty.
+    then carry the uncertainty. ``nonclassical`` compares the point value with
+    ``CLASSICAL_LIMIT``; the bootstrap verdict is ``stats.ViolationReport.detected``.
     """
 
     r_value: float
@@ -67,7 +72,7 @@ class ThreeBinResult:
 
     @property
     def nonclassical(self) -> bool:
-        return self.r_value < 1.0
+        return self.r_value < CLASSICAL_LIMIT["three-bin"]
 
 
 def three_bin_ratio(cpos, cneg, c0, sigma: float, d: int) -> float:
@@ -124,7 +129,11 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Hankel matrix of normally ordered moments and its smallest eigenvalue."""
+    """Hankel matrix of normally ordered moments and its smallest eigenvalue.
+
+    ``nonclassical`` compares the eigenvalue with ``CLASSICAL_LIMIT``; the
+    bootstrap verdict is ``stats.ViolationReport.detected``.
+    """
 
     order: int
     entries: np.ndarray
@@ -132,7 +141,7 @@ class MomentMatrix:
 
     @property
     def nonclassical(self) -> bool:
-        return self.lambda_min < 0.0
+        return self.lambda_min < CLASSICAL_LIMIT["moment"]
 
 
 def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .binning import bin_indices
-from .detect import moment_matrix_from_moments, normally_ordered_moments, three_bin_ratio
+from .detect import CLASSICAL_LIMIT, moment_matrix_from_moments, normally_ordered_moments, three_bin_ratio
 from .errors import UndefinedStatisticError
 
 __all__ = [
@@ -21,8 +21,7 @@ __all__ = [
     "three_bin_statistic",
     "min_eigenvalue_statistic",
     "spread",
-    "violation_bin",
-    "violation_moment",
+    "significant",
     "compare_methods",
 ]
 
@@ -75,33 +74,32 @@ class BootstrapResult:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Statistical significance of one detector's verdict.
+    """Statistical significance of one detector's bootstrap, the verdict of every bootstrap row.
 
-    ``v`` is (classical limit - mean) / std with limit 1 for the bin ratio and
-    0 for the minimum eigenvalue; positive means detection.
+    ``v`` is (classical limit - mean) / std with the method's limit from
+    ``CLASSICAL_LIMIT``, and None when the spread is zero; ``detected`` (a
+    positive ``v``) is the only verdict, so a zero-spread row is never one.
     """
 
     method: str
-    params: dict = field(default_factory=dict)
-    mean: float = 0.0
-    std: float = 0.0
-    v: float = 0.0
-    n_flagged: int = 0
+    params: dict
+    mean: float
+    std: float
+    v: float | None
+    n_flagged: int
+
+    @classmethod
+    def of(cls, method: str, params: dict, boot: BootstrapResult) -> ViolationReport:
+        mean, std = boot.mean, boot.std
+        v = (CLASSICAL_LIMIT[method] - mean) / std if std > 0.0 else None
+        return cls(method, dict(params), mean, std, v, boot.n_flagged)
 
     @property
     def detected(self) -> bool:
-        return self.v > 0.0
+        return self.v is not None and self.v > 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "params": dict(self.params),
-            "mean": self.mean,
-            "std": self.std,
-            "v": self.v,
-            "n_flagged": self.n_flagged,
-            "detected": self.detected,
-        }
+        return {**asdict(self), "detected": self.detected}
 
 
 def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 0) -> np.ndarray:
@@ -165,6 +163,8 @@ def min_eigenvalue_statistic(*orders: int) -> Statistic:
 
     All orders share one moment estimate; the value holds one entry per order.
     """
+    if not orders:
+        raise ValueError("need at least one moment order")
     j_max = 2 * max(orders) - 2
 
     def stat(x: np.ndarray) -> list[float]:
@@ -186,25 +186,11 @@ def spread(samples) -> float:
     return 0.0 if np.ptp(s) <= 64 * np.finfo(float).eps * np.abs(s).max() else float(np.std(s))
 
 
-def _violation(samples, limit: float, method: str, params: dict, n_flagged: int) -> ViolationReport:
-    values = np.asarray(samples, dtype=float)
-    mean = float(values.mean())
-    std = spread(values)
-    if std == 0.0:
+def significant(reports: list[ViolationReport]) -> list[ViolationReport]:
+    """The reports unchanged, once every one has a violation degree."""
+    if any(rep.v is None for rep in reports):
         raise UndefinedStatisticError("statistic spread is zero; violation degree is undefined")
-    return ViolationReport(method, params, mean, std, (limit - mean) / std, n_flagged)
-
-
-def violation_bin(samples, sigma: float | None = None, d: int | None = None, n_flagged: int = 0) -> ViolationReport:
-    """Violation degree (1 - mean) / std of binned-ratio samples."""
-    params = {k: v for k, v in (("sigma", sigma), ("d", d)) if v is not None}
-    return _violation(samples, 1.0, "three-bin", params, n_flagged)
-
-
-def violation_moment(samples, n: int | None = None, n_flagged: int = 0) -> ViolationReport:
-    """Violation degree (0 - mean) / std of minimum-eigenvalue samples."""
-    params = {"n": n} if n is not None else {}
-    return _violation(samples, 0.0, "moment", params, n_flagged)
+    return reports
 
 
 def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSpec) -> list[ViolationReport]:
@@ -216,7 +202,5 @@ def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSp
     orders = sorted(set(int(n) for n in moment_orders))
     ratio, eigenvalues = three_bin_statistic(sigma, d), min_eigenvalue_statistic(*orders)
     values = resample_values(spec, [data.x], [0], lambda x: [ratio(x), *eigenvalues(x)])
-    ratios = BootstrapResult.of(values[0])
-    reports = [violation_bin(ratios.samples, sigma=sigma, d=d, n_flagged=ratios.n_flagged)]
-    reports.extend(violation_moment(row, n=n) for n, row in zip(orders, values[1:]))
-    return reports
+    rows = [("three-bin", {"sigma": sigma, "d": d})] + [("moment", {"n": n}) for n in orders]
+    return significant([ViolationReport.of(m, p, BootstrapResult.of(v)) for (m, p), v in zip(rows, values)])

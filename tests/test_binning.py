@@ -33,6 +33,8 @@ class TestBinIndex:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             bin_indices([1.0], 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            bin_indices([1.0], np.inf)
 
 
 class TestHistogram:

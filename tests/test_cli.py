@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadbin
@@ -222,7 +222,10 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert [dict(zip(lines[0].split(","), line.split(",")))["r_std"] for line in lines[1:]] == ["0.0"] * 3
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [row["r_std"] for row in rows] == ["0.0"] * 3
+        # a ratio with no spread has no violation degree, so no row is a detection
+        assert [row["nonclassical"] for row in rows] == ["0"] * 3
         assert payload["min_r_std"] == 0.0
 
     def test_every_row_pinned_is_a_data_error(self, capsys, tmp_path):
@@ -257,14 +260,13 @@ class TestMomentsCommand:
         path = write_records(tmp_path / "flat.csv", [0.7] * 8)
         code, payload, _ = run(capsys, "moments", "--in", path, "--n-max", "3")
         assert code == 0
-        assert [(row["lambda_std"], row["v"]) for row in payload["rows"]] == [(0.0, None), (0.0, None)]
-
+        assert [(row["lambda_std"], row["v"], row["nonclassical"]) for row in payload["rows"]] == [(0.0, None, False)] * 2
 
     def test_whole_pool_resamples_have_no_violation_degree(self, capsys, readme_run):
         # reorderings of one pool round the Hermite means a few ulps apart; that is no spread
         code, payload, _ = run(capsys, "moments", "--in", readme_run, "--resample-size", "40000", "--bootstrap", "20")
         assert code == 0
-        assert [(row["lambda_std"], row["v"]) for row in payload["rows"]] == [(0.0, None)] * 5
+        assert [(row["lambda_std"], row["v"], row["nonclassical"]) for row in payload["rows"]] == [(0.0, None, False)] * 5
 
 
 class TestEstimateCommand:
@@ -295,7 +297,8 @@ class TestEstimateCommand:
 
 
 class TestDegenerateInput:
-    """Data that fix no statistic exit 2, failed numerics exit 3, bad bin distances and oversized flags are usage errors."""
+    """Data that fix no statistic exit 2, failed numerics exit 3, bad bin sizes and distances and oversized flags
+    are usage errors."""
 
     HUGE = [1e200, -1e200] * 4
     NORMAL = list(np.random.default_rng(4).normal(0, 1, 400))
@@ -320,12 +323,15 @@ class TestDegenerateInput:
             (["sweep-sigma", "--in", "{a}", "--d", "-1", "--steps", "3", "--out", "{out}"], {"a": NORMAL}, 1),
             (["compare", "--in", "{a}", "--d", "0", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["compare", "--in", "{a}", "--d", "-1", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["three-bin", "--in", "{a}", "--sigma", "inf", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["compare", "--in", "{a}", "--sigma", "inf", "--bootstrap", "5"], {"a": NORMAL}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
             "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
             "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
+            "three-bin-sigma-inf", "compare-sigma-inf",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
@@ -393,6 +399,10 @@ class TestCompareCommand:
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert table[0] == "method,sigma,d,n,mean,std,v,n_flagged"
         assert len(table) == 4
+
+    def test_empty_order_list_is_a_usage_error(self, capsys, small_files):
+        code, _, err = run(capsys, "compare", "--in", small_files["x"], "--n-list", ",", "--bootstrap", "5")
+        assert code == 1 and err["error"]["message"] == "need at least one moment order"
 
 
 class TestPipelineComposition:
@@ -614,6 +624,8 @@ def property_dir(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
+# one record: every resample is that record, so no moment row has a spread
+@example(x=[0.5], p=[], values=("0.3",) * 6, cutoff=2)
 @given(x=RECORDS, p=RECORDS, values=st.tuples(*[VALUES] * 6), cutoff=st.integers(-2, 12))
 def test_small_files_exit_ok_data_or_numeric(property_dir, x, p, values, cutoff):
     """0-5 records never give a usage error or a traceback, odd option values at most a usage error,
@@ -643,3 +655,9 @@ def test_small_files_exit_ok_data_or_numeric(property_dir, x, p, values, cutoff)
             code = main(argv)
         assert code in ((0, 2, 3) if argv in record_runs else (0, 1, 2, 3)), (argv, x, p, err.getvalue())
         assert_one_json_answer(code, out.getvalue(), err.getvalue())
+        if code == 0 and argv[0] in ("three-bin", "moments", "compare"):
+            payload = json.loads(out.getvalue())
+            rows = {"three-bin": [payload], "moments": payload.get("rows"), "compare": payload.get("reports")}[argv[0]]
+            # the one verdict: a detection exactly when the violation degree exists and is positive
+            for row in rows:
+                assert row.get("nonclassical", row.get("detected")) == (row["v"] is not None and row["v"] > 0), (argv, x)

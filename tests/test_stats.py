@@ -12,18 +12,23 @@ from quadbin.stats import (
     SUBSAMPLE,
     BootstrapResult,
     BootstrapSpec,
+    ViolationReport,
     bootstrap,
     compare_methods,
     min_eigenvalue_statistic,
     resample_indices,
     resample_values,
+    significant,
     spread,
     three_bin_statistic,
-    violation_bin,
-    violation_moment,
 )
 
 VACUUM_DATA = sample_dataset(StateParams(0.0, 0.0, 0.0), 10_000, seed=60)
+
+
+def report(samples, method="three-bin", **params):
+    """The violation report of ``samples`` taken as one bootstrap of ``method``."""
+    return ViolationReport.of(method, params, BootstrapResult.of(np.asarray(samples, dtype=float)))
 
 
 class TestSpecValidation:
@@ -108,43 +113,45 @@ class TestBootstrap:
 
 class TestViolationReports:
     def test_bin_report_reference_numbers(self):
-        rep = violation_bin(np.array([0.56, 0.60, 0.64]), sigma=1.0, d=1)
+        rep = report([0.56, 0.60, 0.64], sigma=1.0, d=1)
         assert rep.std == pytest.approx(np.sqrt(2 / 3) * 0.04, rel=1e-12)
-        rep_paper = violation_bin(np.full(4, 0.60) + np.array([-0.04, 0.04, -0.04, 0.04]))
+        rep_paper = report(np.full(4, 0.60) + np.array([-0.04, 0.04, -0.04, 0.04]))
         assert rep_paper.mean == pytest.approx(0.60)
         assert rep_paper.v == pytest.approx(10.0, rel=1e-12)
         assert rep_paper.detected
 
     def test_bin_boundary_gives_zero(self):
-        rep = violation_bin(np.array([0.9, 1.1, 1.0, 1.0]))
+        rep = report([0.9, 1.1, 1.0, 1.0])
         assert rep.v == 0.0 and not rep.detected
 
     def test_bin_no_detection_is_negative(self):
-        rep = violation_bin(np.full(4, 4.53) + np.array([-0.74, 0.74, -0.74, 0.74]))
+        rep = report(np.full(4, 4.53) + np.array([-0.74, 0.74, -0.74, 0.74]))
         assert rep.v == pytest.approx((1 - 4.53) / 0.74, rel=1e-12)
         assert rep.v == pytest.approx(-4.77, abs=0.01)
 
     def test_moment_report_reference_numbers(self):
-        rep = violation_moment(np.full(4, -0.411) + np.array([-0.0411, 0.0411, -0.0411, 0.0411]), n=2)
+        rep = report(np.full(4, -0.411) + np.array([-0.0411, 0.0411, -0.0411, 0.0411]), "moment", n=2)
         assert rep.v == pytest.approx(10.0, rel=1e-12)
-        zero = violation_moment(np.array([-0.1, 0.1, -0.1, 0.1]))
+        zero = report([-0.1, 0.1, -0.1, 0.1], "moment")
         assert zero.v == 0.0
-        classical = violation_moment(np.full(4, 0.1) + np.array([-0.05, 0.05, -0.05, 0.05]))
+        classical = report(np.full(4, 0.1) + np.array([-0.05, 0.05, -0.05, 0.05]), "moment")
         assert classical.v == pytest.approx(-2.0, rel=1e-12)
         assert not classical.detected
 
     def test_zero_spread_rejected(self):
+        rep = report(np.ones(5))
+        assert rep.v is None and not rep.detected
         with pytest.raises(ValueError):
-            violation_bin(np.ones(5))
+            significant([rep])
 
     def test_equal_samples_have_zero_spread(self):
         # the rounded mean leaves np.std of equal values a few ulps above zero
         assert np.full(100, 1.0833).std() > 0.0
         assert spread(np.full(100, 1.0833)) == 0.0
         with pytest.raises(UndefinedStatisticError):
-            violation_bin(np.full(100, 1.0833))
+            significant([report(np.full(100, 1.0833))])
         with pytest.raises(UndefinedStatisticError):
-            violation_moment(np.full(20, -0.4137135046258556))
+            significant([report(np.full(20, -0.4137135046258556), "moment")])
         samples = np.array([0.56, 0.60, 0.64])
         assert spread(samples) == np.std(samples)
 
@@ -158,7 +165,7 @@ class TestViolationReports:
         rng = np.random.default_rng(21)
         for _ in range(20):
             samples = rng.normal(rng.uniform(0.3, 1.7), 0.05, 50)
-            rep = violation_bin(samples)
+            rep = report(samples)
             assert (rep.v > 0) == (rep.mean < 1.0)
 
 
