@@ -6,7 +6,7 @@ the normally-ordered-moment matrix, with parameter estimation, entanglement
 potential and bootstrap significance on top.
 """
 
-from .binning import BinnedHistogram, bin_indices, histogram
+from .binning import bin_indices, histogram
 from .data import (
     Dataset,
     inject_phase_noise,
@@ -18,12 +18,9 @@ from .data import (
 )
 from .detect import (
     MomentMatrix,
-    ThreeBinResult,
     analytic_three_bin_R,
-    moment_matrix,
     moment_matrix_from_moments,
     normally_ordered_moments,
-    three_bin_R,
     three_point_R,
 )
 from .errors import (

@@ -13,20 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinnedHistogram
 from .errors import EigensolverError, UndefinedStatisticError
 from .model import QuadratureDistribution
 
 __all__ = [
     "CLASSICAL_LIMIT",
-    "ThreeBinResult",
     "MomentMatrix",
     "three_point_R",
     "three_bin_ratio",
-    "three_bin_R",
     "analytic_three_bin_R",
     "normally_ordered_moments",
-    "moment_matrix",
     "moment_matrix_from_moments",
 ]
 
@@ -54,43 +50,9 @@ def three_point_R(dist: QuadratureDistribution, s: float) -> float:
     return float(dist.pdf(s) * dist.pdf(-s) / p0**2 * np.exp(s**2))
 
 
-@dataclass(frozen=True)
-class ThreeBinResult:
-    """Outcome of the binned ratio test on counts (C_-d, C_0, C_d).
-
-    ``low_count`` marks the degenerate case where a side bin was empty and the
-    statistic was pinned to 0; bootstrap spread, not this point value, should
-    then carry the uncertainty. ``nonclassical`` compares the point value with
-    ``CLASSICAL_LIMIT``; the bootstrap verdict is ``stats.ViolationReport.detected``.
-    """
-
-    r_value: float
-    sigma: float
-    d: int
-    counts_used: tuple[int, int, int]
-    low_count: bool = False
-
-    @property
-    def nonclassical(self) -> bool:
-        return self.r_value < CLASSICAL_LIMIT["three-bin"]
-
-
 def three_bin_ratio(cpos, cneg, c0, sigma: float, d: int) -> float:
     """The ratio C_d C_-d / C_0^2 * e^{sigma^2 d^2} from bin counts or bin masses."""
     return float(cpos * cneg / c0**2 * np.exp(sigma**2 * d**2))
-
-
-def three_bin_R(hist: BinnedHistogram, d: int) -> ThreeBinResult:
-    """Binned ratio test C_d C_-d / C_0^2 * e^{sigma^2 d^2} at bin distance ``d``."""
-    if d < 1:
-        raise ValueError(f"bin distance must be a positive integer, got {d!r}")
-    c0 = hist.count(0)
-    if c0 == 0:
-        raise UndefinedStatisticError("central bin count is zero; the ratio test is undefined")
-    cneg, cpos = hist.count(-d), hist.count(d)
-    if cneg == 0 or cpos == 0:
-        return ThreeBinResult(0.0, hist.sigma, d, (cneg, c0, cpos), low_count=True)
-    return ThreeBinResult(three_bin_ratio(cpos, cneg, c0, hist.sigma, d), hist.sigma, d, (cneg, c0, cpos))
 
 
 def analytic_three_bin_R(dist: QuadratureDistribution, sigma: float, d: int) -> float:
@@ -131,17 +93,13 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
 class MomentMatrix:
     """Hankel matrix of normally ordered moments and its smallest eigenvalue.
 
-    ``nonclassical`` compares the eigenvalue with ``CLASSICAL_LIMIT``; the
-    bootstrap verdict is ``stats.ViolationReport.detected``.
+    The verdict reads ``lambda_min`` under the bootstrap, against
+    ``CLASSICAL_LIMIT``: see ``stats.ViolationReport``.
     """
 
     order: int
     entries: np.ndarray
     lambda_min: float
-
-    @property
-    def nonclassical(self) -> bool:
-        return self.lambda_min < CLASSICAL_LIMIT["moment"]
 
 
 def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
@@ -164,9 +122,3 @@ def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
         raise EigensolverError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return MomentMatrix(n, m, lam)
 
-
-def moment_matrix(data, n: int) -> MomentMatrix:
-    """Order-``n`` moment matrix estimated from a dataset."""
-    if not MIN_MOMENT_ORDER <= n <= MAX_MOMENT_ORDER:
-        raise ValueError(f"matrix order must lie in [{MIN_MOMENT_ORDER}, {MAX_MOMENT_ORDER}], got {n!r}")
-    return moment_matrix_from_moments(normally_ordered_moments(data.x, 2 * n - 2), n)

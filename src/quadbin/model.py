@@ -167,8 +167,8 @@ class QuadratureDistribution:
         Bin ``m`` covers [(m - 1/2) sigma, (m + 1/2) sigma). The masses are
         even in ``m`` and sum to 1 over all indices.
         """
-        if not sigma > 0.0:
-            raise ValueError(f"bin size must be positive, got {sigma!r}")
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(f"bin size must be positive and finite, got {sigma!r}")
         v, w = self._node_variances()
         ma = np.asarray(m, dtype=float)
         scale = sigma / np.sqrt(v)

@@ -141,9 +141,9 @@ def bootstrap(data, spec: BootstrapSpec, statistic: Statistic) -> BootstrapResul
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
-    """Binned ratio statistic at fixed (sigma, d) for use under the bootstrap.
+    """Binned ratio statistic at fixed (sigma, d): the point value on the whole input and each resample's value.
 
-    A resample with an empty centre or side bin has no ratio and gives NaN.
+    An input with an empty centre or side bin has no ratio and gives NaN.
     """
     if d < 1:
         raise ValueError(f"bin distance must be a positive integer, got {d!r}")

@@ -15,10 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadbin
-from quadbin.binning import histogram
 from quadbin.cli import main
 from quadbin.data import Dataset, inject_phase_noise, read_csv, sample_dataset, select_phase_window, write_csv
-from quadbin.detect import moment_matrix, moment_matrix_from_moments, normally_ordered_moments, three_bin_R
+from quadbin.detect import moment_matrix_from_moments, normally_ordered_moments
 from quadbin.errors import EstimationError
 from quadbin.estimate import db_from_variance, estimate_params, params_from_variances, summarize
 from quadbin.model import StateParams
@@ -253,7 +252,8 @@ class TestMomentsCommand:
         data = read_csv(small_files["x"])
         assert [row["n"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
         for row in payload["rows"]:
-            assert row["lambda_point"] == pytest.approx(moment_matrix(data, row["n"]).lambda_min, abs=0.0)
+            matrix = moment_matrix_from_moments(normally_ordered_moments(data.x, 2 * row["n"] - 2), row["n"])
+            assert row["lambda_point"] == pytest.approx(matrix.lambda_min, abs=0.0)
 
     def test_equal_resamples_have_no_violation_degree(self, capsys, tmp_path):
         # every resample of constant records gives the same eigenvalues, whose np.std is a few ulps
@@ -325,13 +325,19 @@ class TestDegenerateInput:
             (["compare", "--in", "{a}", "--d", "-1", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["three-bin", "--in", "{a}", "--sigma", "inf", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["compare", "--in", "{a}", "--sigma", "inf", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            # an empty central bin in the whole input is empty in every resample: all are pinned
+            (["three-bin", "--in", "{a}", "--bootstrap", "5"], {"a": [-1.0, 1.0, -1.2, 1.1] * 5}, 2),
+            (["moments", "--in", "{a}", "--n-max", "1", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["moments", "--in", "{a}", "--n-max", "9", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["compare", "--in", "{a}", "--n-list", "9", "--bootstrap", "5"], {"a": NORMAL}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
             "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
             "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
-            "three-bin-sigma-inf", "compare-sigma-inf",
+            "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
+            "moments-n-max-nine", "compare-n-list-nine",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
@@ -425,9 +431,9 @@ class TestPipelineComposition:
         params = StateParams(anchor.r, anchor.loss, 0.15)
         data = sample_dataset(params, 50_000, seed=55, phase_window=np.pi)
         mem = select_phase_window(inject_phase_noise(data, 0.25, seed=56), 0.0, 0.1)
-        point = three_bin_R(histogram(mem.x, 0.9), 1)
+        point = three_bin_statistic(0.9, 1)(mem.x)
         assert mem.n == sel["n_kept"]
-        assert cli_row["r_point"] == point.r_value  # bit-for-bit
+        assert cli_row["r_point"] == point  # bit-for-bit
 
     def test_select_empty_flagged(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
@@ -467,6 +473,23 @@ class TestConfigFile:
             capsys, *inputs, "--bootstrap", "30", "--mode", SUBSAMPLE, "--resample-size", "500", "--seed", "9"
         )
         assert code == 0 and flagged == layered
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["three-bin", "--in", "{x}"], [1, 2]),
+            (["three-bin", "--in", "{x}"], {"sigma": [1]}),
+            (["three-bin"], {"in_path": 5}),
+        ],
+        ids=["not-an-object", "sigma-list", "in-path-int"],
+    )
+    def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, small_files, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([arg.format(**small_files) for arg in argv] + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert_one_json_answer(code, captured.out, captured.err)
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
-from quadbin.binning import BinnedHistogram, histogram
+from quadbin.binning import histogram
 from quadbin.data import sample_dataset
 from quadbin.detect import (
+    CLASSICAL_LIMIT,
     analytic_three_bin_R,
-    moment_matrix,
     moment_matrix_from_moments,
     normally_ordered_moments,
-    three_bin_R,
     three_point_R,
 )
-from quadbin.errors import EigensolverError, UndefinedStatisticError
+from quadbin.errors import EigensolverError
 from quadbin.estimate import params_from_variances
 from quadbin.model import QuadratureDistribution, StateParams
-from quadbin.stats import REPLACEMENT, BootstrapSpec, bootstrap, three_bin_statistic
+from quadbin.stats import (
+    REPLACEMENT,
+    BootstrapResult,
+    BootstrapSpec,
+    bootstrap,
+    min_eigenvalue_statistic,
+    three_bin_statistic,
+)
 
 # Frozen oracle values (scipy.integrate.quad / scipy.special.ndtr):
 # pure squeezed state with variance 0.5, bin size 0.5, distance 1.
@@ -53,28 +59,31 @@ class TestThreePoint:
             three_point_R(VACUUM, 0.0)
 
 
+def outcomes(counts: dict[int, int]) -> np.ndarray:
+    """Outcomes at the bin centres of size-1 bins, ``counts[m]`` of them in bin m."""
+    return np.repeat(np.array(list(counts), dtype=float), list(counts.values()))
+
+
 class TestThreeBin:
     def test_direct_arithmetic(self):
-        hist = BinnedHistogram(1.0, {-1: 100, 0: 400, 1: 100}, 600)
-        res = three_bin_R(hist, 1)
-        assert res.r_value == pytest.approx(0.0625 * np.e, rel=1e-14)
-        assert res.counts_used == (100, 400, 100)
-        assert res.nonclassical and not res.low_count
+        x = outcomes({-1: 100, 0: 400, 1: 100})
+        assert histogram(x, 1.0) == {-1: 100, 0: 400, 1: 100}
+        r = three_bin_statistic(1.0, 1)(x)
+        assert r == pytest.approx(0.0625 * np.e, rel=1e-14)
+        assert r < CLASSICAL_LIMIT["three-bin"]
 
     def test_zero_central_bin_rejected(self):
-        hist = BinnedHistogram(1.0, {-1: 4, 1: 5}, 9)
-        with pytest.raises(UndefinedStatisticError):
-            three_bin_R(hist, 1)
+        assert np.isnan(three_bin_statistic(1.0, 1)(outcomes({-1: 4, 1: 5})))
 
     def test_zero_side_count_pins_to_zero_with_flag(self):
-        hist = BinnedHistogram(1.0, {0: 100, 1: 3}, 103)
-        res = three_bin_R(hist, 1)
-        assert res.r_value == 0.0 and res.low_count
+        r = three_bin_statistic(1.0, 1)(outcomes({0: 100, 1: 3}))
+        assert np.isnan(r)
+        boot = BootstrapResult.of(np.array([r]))
+        assert boot.samples.tolist() == [0.0] and boot.n_flagged == 1
 
     def test_rejects_bad_distance(self):
-        hist = BinnedHistogram(1.0, {0: 10}, 10)
         with pytest.raises(ValueError):
-            three_bin_R(hist, 0)
+            three_bin_statistic(1.0, 0)
 
 
 class TestAnalyticThreeBin:
@@ -103,8 +112,8 @@ class TestAnalyticThreeBin:
         dist = QuadratureDistribution(p)
         for sigma, d in ((0.6, 1), (1.0, 1), (0.5, 2)):
             boot = bootstrap(data, BootstrapSpec(10_000, 100, 3, REPLACEMENT), three_bin_statistic(sigma, d))
-            point = three_bin_R(histogram(data.x, sigma), d)
-            assert abs(point.r_value - analytic_three_bin_R(dist, sigma, d)) <= 4 * boot.std
+            point = three_bin_statistic(sigma, d)(data.x)
+            assert abs(point - analytic_three_bin_R(dist, sigma, d)) <= 4 * boot.std
 
 
 class TestNormallyOrderedMoments:
@@ -149,7 +158,7 @@ class TestMomentMatrix:
         assert np.allclose(mm.entries, [[1.0, 0.0], [0.0, v - 1.0]])
         assert mm.lambda_min == pytest.approx(v - 1.0, abs=1e-12)
         assert mm.lambda_min == pytest.approx(-0.411, abs=5e-4)
-        assert mm.nonclassical
+        assert mm.lambda_min < CLASSICAL_LIMIT["moment"]
 
     def test_vacuum_exact_moments_on_boundary(self):
         for n in (2, 3):
@@ -158,7 +167,7 @@ class TestMomentMatrix:
 
     def test_hankel_structure_bit_exact(self):
         data = sample_dataset(StateParams(0.5, 0.2, 0.3), 4000, seed=6)
-        mm = moment_matrix(data, 5)
+        mm = moment_matrix_from_moments(normally_ordered_moments(data.x, 8), 5)
         n = mm.order
         for i in range(n):
             for j in range(n):
@@ -171,19 +180,18 @@ class TestMomentMatrix:
         for _ in range(30):
             scale = rng.uniform(0.7, 1.3)
             x = rng.normal(0, scale, 2000)
-            data_like = type("D", (), {"x": x})
-            mm = moment_matrix(data_like, 2)
+            (lambda_min,) = min_eigenvalue_statistic(2)(x)
             var = float(((x - x.mean()) ** 2).mean())
-            assert mm.nonclassical == (var < 1.0)
+            assert (lambda_min < CLASSICAL_LIMIT["moment"]) == (var < 1.0)
 
     def test_order_bounds(self):
         data = sample_dataset(StateParams(0.1, 0.0, 0.0), 100, seed=1)
-        with pytest.raises(ValueError):
-            moment_matrix(data, 1)
-        with pytest.raises(ValueError):
-            moment_matrix(data, 9)
+        with pytest.raises(ValueError, match="matrix order must lie in"):
+            min_eigenvalue_statistic(1)(data.x)
+        with pytest.raises(ValueError, match="matrix order must lie in"):
+            min_eigenvalue_statistic(9)(data.x)
 
     def test_high_order_runs_with_residual_guard(self):
         data = sample_dataset(StateParams(0.8, 0.1, 0.4), 20_000, seed=8)
-        mm = moment_matrix(data, 8)
-        assert np.isfinite(mm.lambda_min)
+        (lambda_min,) = min_eigenvalue_statistic(8)(data.x)
+        assert np.isfinite(lambda_min)

@@ -208,6 +208,8 @@ class TestBinProbability:
         dist = QuadratureDistribution(StateParams(0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
             dist.bin_probabilities(0.0, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            dist.bin_probabilities(np.inf, [-1, 0, 1])
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
