@@ -27,7 +27,7 @@ from .data import (
     simulation_params,
     write_csv,
 )
-from .detect import analytic_three_bin_R
+from .detect import analytic_three_bin_R, check_moment_order
 from .errors import CsvFormatError, EigensolverError, EstimationError, UndefinedStatisticError
 from .estimate import (
     db_from_variance,
@@ -86,15 +86,21 @@ def _flag(key: str) -> str:
 
 
 def _config_value(key: str, value):
-    """A config-file value converted with its option's type, as argparse converts a flag; choices stay as given."""
+    """A config-file value converted with its option's type; choices stay as given.
+
+    The value is either the text a flag would carry, converted as argparse
+    converts it, or a JSON value of the option's own type (a number for a float
+    option, a whole number for an int option). Booleans are neither.
+    """
     kind = OPTIONS[key][0]
     if isinstance(kind, tuple):
         return value
-    try:
-        if kind is not str or isinstance(value, str):
+    native = (int, float) if kind is float else (kind,)
+    if isinstance(value, (str, *native)) and not isinstance(value, bool):
+        try:
             return kind(value)
-    except (TypeError, ValueError):
-        pass
+        except (ValueError, OverflowError):
+            pass
     raise UsageError(f"invalid config value for {_flag(key)}: {value!r}")
 
 
@@ -244,7 +250,8 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 def cmd_moments(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
-    orders = range(2, cfg["n_max"] + 1)
+    # the range is only built for a supported largest order
+    orders = range(2, check_moment_order(cfg["n_max"]) + 1)
     statistic = min_eigenvalue_statistic(*orders)
     lam = resample_values(spec, [data.x], [0], statistic)
     rows = []

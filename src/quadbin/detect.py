@@ -23,6 +23,7 @@ __all__ = [
     "three_bin_ratio",
     "analytic_three_bin_R",
     "normally_ordered_moments",
+    "check_moment_order",
     "moment_matrix_from_moments",
 ]
 
@@ -89,6 +90,13 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
     return out
 
 
+def check_moment_order(n: int) -> int:
+    """``n`` unchanged once it is a supported moment-matrix order; ValueError otherwise."""
+    if not MIN_MOMENT_ORDER <= n <= MAX_MOMENT_ORDER:
+        raise ValueError(f"matrix order must lie in [{MIN_MOMENT_ORDER}, {MAX_MOMENT_ORDER}], got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
     """Hankel matrix of normally ordered moments and its smallest eigenvalue.
@@ -108,8 +116,7 @@ def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
     Entry (i, j) is the moment of order i + j, so every anti-diagonal reuses
     the same estimate.
     """
-    if not MIN_MOMENT_ORDER <= n <= MAX_MOMENT_ORDER:
-        raise ValueError(f"matrix order must lie in [{MIN_MOMENT_ORDER}, {MAX_MOMENT_ORDER}], got {n!r}")
+    check_moment_order(n)
     moments = np.asarray(moments, dtype=float)
     if moments.size < 2 * n - 1:
         raise ValueError(f"need moments up to order {2 * n - 2}, got {moments.size - 1}")

@@ -8,7 +8,13 @@ from typing import Callable
 import numpy as np
 
 from .binning import bin_indices
-from .detect import CLASSICAL_LIMIT, moment_matrix_from_moments, normally_ordered_moments, three_bin_ratio
+from .detect import (
+    CLASSICAL_LIMIT,
+    check_moment_order,
+    moment_matrix_from_moments,
+    normally_ordered_moments,
+    three_bin_ratio,
+)
 from .errors import UndefinedStatisticError
 
 __all__ = [
@@ -162,9 +168,12 @@ def min_eigenvalue_statistic(*orders: int) -> Statistic:
     """Smallest moment-matrix eigenvalue of each order in ``orders`` as a bootstrap statistic.
 
     All orders share one moment estimate; the value holds one entry per order.
+    Every order is checked here, before any resample is drawn.
     """
     if not orders:
         raise ValueError("need at least one moment order")
+    for n in orders:
+        check_moment_order(n)
     j_max = 2 * max(orders) - 2
 
     def stat(x: np.ndarray) -> list[float]:

@@ -330,6 +330,9 @@ class TestDegenerateInput:
             (["moments", "--in", "{a}", "--n-max", "1", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["moments", "--in", "{a}", "--n-max", "9", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["compare", "--in", "{a}", "--n-list", "9", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            # an unsupported order is rejected before any moment of that order is computed
+            (["moments", "--in", "{a}", "--n-max", "100000000", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            (["compare", "--in", "{a}", "--n-list", "100000000", "--bootstrap", "5"], {"a": NORMAL}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
@@ -337,7 +340,7 @@ class TestDegenerateInput:
             "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
             "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
             "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
-            "moments-n-max-nine", "compare-n-list-nine",
+            "moments-n-max-nine", "compare-n-list-nine", "moments-n-max-huge", "compare-n-list-huge",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
@@ -480,8 +483,12 @@ class TestConfigFile:
             (["three-bin", "--in", "{x}"], [1, 2]),
             (["three-bin", "--in", "{x}"], {"sigma": [1]}),
             (["three-bin"], {"in_path": 5}),
+            # the flags --bootstrap 2.9 and --d true are usage errors too
+            (["three-bin", "--in", "{x}"], {"bootstrap": 2.9}),
+            (["three-bin", "--in", "{x}"], {"d": True}),
+            (["compare", "--in", "{x}"], {"n_list": 3}),
         ],
-        ids=["not-an-object", "sigma-list", "in-path-int"],
+        ids=["not-an-object", "sigma-list", "in-path-int", "int-option-fraction", "int-option-bool", "str-option-int"],
     )
     def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, small_files, argv, config):
         cfg = tmp_path / "cfg.json"
@@ -490,6 +497,15 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert code == 1
         assert_one_json_answer(code, captured.out, captured.err)
+
+    def test_config_takes_flag_text_or_a_json_number(self, capsys, tmp_path, small_files):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 1, "d": "1", "bootstrap": "20", "seed": 3}))
+        inputs = ["three-bin", "--in", small_files["x"]]
+        code, layered, _ = run(capsys, *inputs, "--config", str(cfg))
+        assert code == 0
+        code, flagged, _ = run(capsys, *inputs, "--sigma", "1", "--d", "1", "--bootstrap", "20", "--seed", "3")
+        assert code == 0 and flagged == layered
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)

@@ -191,6 +191,11 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match="matrix order must lie in"):
             min_eigenvalue_statistic(9)(data.x)
 
+    def test_orders_checked_when_the_statistic_is_built(self):
+        # no moment of order 2e8 is ever computed
+        with pytest.raises(ValueError, match="got 100000000"):
+            min_eigenvalue_statistic(2, 100_000_000)
+
     def test_high_order_runs_with_residual_guard(self):
         data = sample_dataset(StateParams(0.8, 0.1, 0.4), 20_000, seed=8)
         (lambda_min,) = min_eigenvalue_statistic(8)(data.x)
