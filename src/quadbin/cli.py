@@ -1,10 +1,12 @@
 """Command-line front end: simulation, tests, sweeps, estimation, entanglement potential.
 
 Results go to stdout as a single JSON object; bulk tables go to CSV files.
-Every run echoes its fully resolved configuration (built-in defaults, then a
---config JSON file, then explicit flags) into the output. Every option is
-declared once, in the OPTIONS table with its type, built-in default and help;
-the COMMANDS table lists each subcommand's options. Exit codes:
+Every run echoes its fully resolved configuration into the output. Every option
+is declared once, in the OPTIONS table with its type, built-in default and help;
+the COMMANDS table lists each subcommand's options and default overrides. A
+--config JSON file gives option values as flag tokens placed before the explicit
+flags, so the one argparse parser converts and checks every value and a flag
+wins over the file. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure. Errors also emit a
 machine-readable JSON object on stderr.
 """
@@ -27,7 +29,7 @@ from .data import (
     simulation_params,
     write_csv,
 )
-from .detect import analytic_three_bin_R, check_moment_order
+from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_moment_order
 from .errors import CsvFormatError, EigensolverError, EstimationError, UndefinedStatisticError
 from .estimate import (
     db_from_variance,
@@ -37,7 +39,7 @@ from .estimate import (
     summarize,
     variance_from_db,
 )
-from .fock import entanglement_potential, state_from_params
+from .fock import DEFAULT_CUTOFF, entanglement_potential, state_from_params
 from .model import QuadratureDistribution, StateParams
 from .stats import (
     REPLACEMENT,
@@ -85,46 +87,27 @@ def _flag(key: str) -> str:
     return "--in" if key == "in_path" else "--" + key.replace("_", "-")
 
 
-def _config_value(key: str, value):
-    """A config-file value converted with its option's type; choices stay as given.
+def _config_tokens(path: str, command: Command) -> list[str]:
+    """One ``--flag=text`` token per non-null value a --config JSON object gives an option of ``command``.
 
-    The value is either the text a flag would carry, converted as argparse
-    converts it, or a JSON value of the option's own type (a number for a float
-    option, a whole number for an int option). Booleans are neither.
+    argparse converts and checks each token as it does the flag itself; this only
+    asks that the file hold an object and that each value be text, or a JSON
+    number for a numeric option. Keys that are not options of the command are ignored.
     """
-    kind = OPTIONS[key][0]
-    if isinstance(kind, tuple):
-        return value
-    native = (int, float) if kind is float else (kind,)
-    if isinstance(value, (str, *native)) and not isinstance(value, bool):
-        try:
-            return kind(value)
-        except (ValueError, OverflowError):
-            pass
-    raise UsageError(f"invalid config value for {_flag(key)}: {value!r}")
-
-
-def _resolve(args, command: Command) -> dict:
-    """Layer built-in defaults, config-file values and explicit flags; check required options.
-
-    A config value of null counts as absent, like an omitted flag.
-    """
-    cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise UsageError("--config must hold a JSON object")
-    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError("--config must hold a JSON object")
+    tokens = []
     for key in command.options:
-        value = getattr(args, key)
-        if value is None and cfg.get(key) is not None:
-            value = _config_value(key, cfg[key])
-        out[key] = value if value is not None else command.defaults.get(key, OPTIONS[key][1])
-    missing = [k for k in command.required if out[k] is None]
-    if missing:
-        raise UsageError("missing required option(s): " + ", ".join(_flag(k) for k in missing))
-    return out
+        value = cfg.get(key)
+        if value is None:
+            continue
+        kinds = (str, int, float) if OPTIONS[key][0] in (int, float) else str
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise UsageError(f"invalid config value for {_flag(key)}: {value!r}")
+        tokens.append(f"{_flag(key)}={value}")
+    return tokens
 
 
 def _bootstrap_spec(resolved: dict, pool: int) -> BootstrapSpec:
@@ -251,7 +234,7 @@ def cmd_moments(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     # the range is only built for a supported largest order
-    orders = range(2, check_moment_order(cfg["n_max"]) + 1)
+    orders = range(MIN_MOMENT_ORDER, check_moment_order(cfg["n_max"]) + 1)
     statistic = min_eigenvalue_statistic(*orders)
     lam = resample_values(spec, [data.x], [0], statistic)
     rows = []
@@ -387,7 +370,7 @@ OPTIONS = {
     "steps": (int, 15, "number of bin widths in the sweep"),
     "n_max": (int, 6, "largest moment-matrix order"),
     "n_list": (str, "2,3,4,5,6", "comma-separated moment orders"),
-    "cutoff": (int, 10, "Fock-space cutoff"),
+    "cutoff": (int, DEFAULT_CUTOFF, "Fock-space cutoff"),
     "delta_e": (float, None, "spread of the added phase noise (rad)"),
     "half_width": (float, None, "half-width of the kept phase window (rad)"),
     "bootstrap": (int, 100, "number of resamples B"),
@@ -472,22 +455,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for key in command.options:
-            kind, _, text = OPTIONS[key]
-            # argparse defaults stay None so that _resolve can tell a given flag from an absent one
+            kind, default, text = OPTIONS[key]
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            sub.add_argument(_flag(key), dest=key, help=text, **typed)
+            sub.add_argument(_flag(key), dest=key, default=command.defaults.get(key, default), help=text, **typed)
         sub.add_argument("--config", help="JSON file with option values; explicit flags win")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         command = COMMANDS[args.command]
-        cfg = _resolve(args, command)
+        if args.config:
+            # config tokens go right after the subcommand; argparse keeps the last value, so a flag wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(args.config, command), *argv[at:]])
+        cfg = {key: getattr(args, key) for key in command.options}
+        missing = [key for key in command.required if cfg[key] is None]
+        if missing:
+            raise UsageError("missing required option(s): " + ", ".join(_flag(k) for k in missing))
         # the echo is the dict the command ran with, so simulate's resolved r shows up;
         # floating-point warnings stay off stderr, which holds at most the one JSON error
         with np.errstate(all="ignore"):

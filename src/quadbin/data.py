@@ -24,6 +24,7 @@ CDF, so any operation is a pure function of (inputs, seed).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -244,7 +245,7 @@ def read_csv(path) -> Dataset:
             t, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise CsvFormatError(f"{path}: line {i}: could not parse {line!r}", line=i) from None
-        if not (np.isfinite(t) and np.isfinite(v)):
+        if not (math.isfinite(t) and math.isfinite(v)):
             raise CsvFormatError(f"{path}: line {i}: non-finite value", line=i)
         thetas[i - 2], xs[i - 2] = t, v
     meta_file = _meta_path(path)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 10
+# Largest cutoff accepted; a two-mode state at cutoff 60 solves in about a second.
+MAX_CUTOFF = 60
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     """
     if r < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
-    if cutoff < 0:
-        raise ValueError(f"Fock cutoff must be >= 0, got {cutoff!r}")
+    if not 0 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"Fock cutoff must lie in [0, {MAX_CUTOFF}], got {cutoff!r}")
     c = np.zeros(cutoff + 1)
     c[0] = 1.0 / np.sqrt(np.cosh(r))
     t = np.tanh(r)

@@ -24,6 +24,12 @@ class TestBinIndex:
         assert bin_indices([1.5], 1.0).tolist() == [2]
         assert bin_indices([-0.5], 1.0).tolist() == [0]  # left edge belongs to the bin
 
+    def test_far_outcomes_keep_bins_of_their_own(self):
+        # an int64 cast would wrap every index beyond about 9.2e18 to -2**63
+        far = [1e200, -1e200, 1e19, 0.0]
+        assert len(set(bin_indices(far, 1.0).tolist())) == 4
+        assert histogram(far, 1.0) == {int(-1e200): 1, 0: 1, int(1e19): 1, int(1e200): 1}
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             bin_indices([np.nan], 1.0)

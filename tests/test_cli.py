@@ -333,6 +333,8 @@ class TestDegenerateInput:
             # an unsupported order is rejected before any moment of that order is computed
             (["moments", "--in", "{a}", "--n-max", "100000000", "--bootstrap", "5"], {"a": NORMAL}, 1),
             (["compare", "--in", "{a}", "--n-list", "100000000", "--bootstrap", "5"], {"a": NORMAL}, 1),
+            # a cutoff above fock.MAX_CUTOFF is rejected before its Fock matrices are allocated
+            (["ep", "--r", "1", "--cutoff", "100000"], {}, 1),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
@@ -341,6 +343,7 @@ class TestDegenerateInput:
             "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
             "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
             "moments-n-max-nine", "compare-n-list-nine", "moments-n-max-huge", "compare-n-list-huge",
+            "ep-cutoff-huge",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
@@ -487,8 +490,13 @@ class TestConfigFile:
             (["three-bin", "--in", "{x}"], {"bootstrap": 2.9}),
             (["three-bin", "--in", "{x}"], {"d": True}),
             (["compare", "--in", "{x}"], {"n_list": 3}),
+            (["three-bin", "--in", "{x}"], {"mode": 5}),
+            (["three-bin", "--in", "{x}"], {"mode": "bogus"}),
         ],
-        ids=["not-an-object", "sigma-list", "in-path-int", "int-option-fraction", "int-option-bool", "str-option-int"],
+        ids=[
+            "not-an-object", "sigma-list", "in-path-int", "int-option-fraction", "int-option-bool", "str-option-int",
+            "mode-int", "mode-not-a-choice",
+        ],
     )
     def test_malformed_config_is_a_usage_error(self, capsys, tmp_path, small_files, argv, config):
         cfg = tmp_path / "cfg.json"
@@ -505,6 +513,28 @@ class TestConfigFile:
         code, layered, _ = run(capsys, *inputs, "--config", str(cfg))
         assert code == 0
         code, flagged, _ = run(capsys, *inputs, "--sigma", "1", "--d", "1", "--bootstrap", "20", "--seed", "3")
+        assert code == 0 and flagged == layered
+
+    def test_config_values_that_look_like_flags(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "-x.csv", "center": -0.5}))
+        inputs = ["simulate", "--r", "0.3", "--n", "50"]
+        code, layered, _ = run(capsys, *inputs, "--config", str(cfg))
+        assert code == 0 and layered["config"]["out"] == "-x.csv" and layered["config"]["center"] == -0.5
+        written = (tmp_path / "-x.csv").read_text()
+        code, flagged, _ = run(capsys, *inputs, "--out=-x.csv", "--center=-0.5")
+        assert code == 0 and flagged == layered
+        assert (tmp_path / "-x.csv").read_text() == written
+
+    def test_null_config_value_takes_the_default(self, capsys, tmp_path, small_files):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bootstrap": None, "mode": None, "seed": 3}))
+        inputs = ["three-bin", "--in", small_files["x"]]
+        code, layered, _ = run(capsys, *inputs, "--config", str(cfg))
+        assert code == 0
+        assert layered["config"]["bootstrap"] == 100 and layered["config"]["mode"] == SUBSAMPLE
+        code, flagged, _ = run(capsys, *inputs, "--seed", "3")
         assert code == 0 and flagged == layered
 
     def test_no_subcommand_is_usage_error(self, capsys):

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from quadbin.estimate import params_from_variances
 from quadbin.fock import (
+    MAX_CUTOFF,
     FockDensityMatrix,
     _bs_isometry,
     apply_loss,
@@ -86,6 +87,15 @@ class TestSqueezedVacuum:
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             squeezed_vacuum_fock(-0.1)
+
+    @pytest.mark.parametrize("cutoff", [-1, MAX_CUTOFF + 1, 100_000])
+    def test_rejects_cutoff_outside_range_before_any_channel(self, cutoff):
+        # a loss channel at cutoff 100000 would first build a 10^10-entry binomial table
+        with pytest.raises(ValueError, match="cutoff"):
+            state_from_params(StateParams(1.0, 0.1, 0.0), cutoff)
+
+    def test_accepts_the_largest_cutoff(self):
+        assert squeezed_vacuum_fock(1.0, MAX_CUTOFF).cutoff == MAX_CUTOFF
 
     def test_forward_states_are_real(self):
         assert squeezed_vacuum_fock(0.4).mat.dtype == np.float64
