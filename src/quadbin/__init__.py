@@ -17,7 +17,6 @@ from .data import (
     write_csv,
 )
 from .detect import (
-    MomentMatrix,
     analytic_three_bin_R,
     moment_matrix_from_moments,
     normally_ordered_moments,
@@ -29,6 +28,7 @@ from .errors import (
     EstimationError,
     QuadbinError,
     UndefinedStatisticError,
+    UsageError,
 )
 from .estimate import (
     MomentSummary,

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bin_indices", "histogram"]
+__all__ = ["check_bin_size", "bin_indices", "histogram"]
+
+
+def check_bin_size(sigma: float) -> float:
+    """``sigma`` unchanged once it is a usable bin size; ValueError otherwise."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"bin size must be positive and finite, got {sigma!r}")
+    return sigma
 
 
 def bin_indices(x, sigma: float) -> np.ndarray:
@@ -13,8 +20,7 @@ def bin_indices(x, sigma: float) -> np.ndarray:
     The left edge belongs to the bin, the right edge to the next one. Indices
     are exact integers up to 2**53, and a far outcome keeps a far bin of its own.
     """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"bin size must be positive and finite, got {sigma!r}")
+    check_bin_size(sigma)
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("outcomes must be finite")

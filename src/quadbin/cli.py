@@ -6,9 +6,9 @@ is declared once, in the OPTIONS table with its type, built-in default and help;
 the COMMANDS table lists each subcommand's options and default overrides. A
 --config JSON file gives option values as flag tokens placed before the explicit
 flags, so the one argparse parser converts and checks every value and a flag
-wins over the file. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure. Errors also emit a
-machine-readable JSON object on stderr.
+wins over the file. A command checks its options before it reads any input.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure; a package
+error type carries its own, and an error writes one JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .data import (
     write_csv,
 )
 from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_moment_order
-from .errors import CsvFormatError, EigensolverError, EstimationError, UndefinedStatisticError
+from .errors import EstimationError, QuadbinError, UndefinedStatisticError, UsageError
 from .estimate import (
     db_from_variance,
     estimate_params,
@@ -39,7 +39,7 @@ from .estimate import (
     summarize,
     variance_from_db,
 )
-from .fock import DEFAULT_CUTOFF, entanglement_potential, state_from_params
+from .fock import DEFAULT_CUTOFF, check_cutoff, entanglement_potential, state_from_params
 from .model import QuadratureDistribution, StateParams
 from .stats import (
     REPLACEMENT,
@@ -60,10 +60,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,10 +155,10 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_three_bin(cfg: dict) -> dict:
-    data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     sigma, d = cfg["sigma"], cfg["d"]
     statistic = three_bin_statistic(sigma, d)
+    data = read_csv(cfg["in_path"])
+    spec = _bootstrap_spec(cfg, data.n)
     r_point = statistic(data.x)
     boot = bootstrap(data, spec, statistic)
     (report,) = significant([ViolationReport.of("three-bin", {"sigma": sigma, "d": d}, boot)])
@@ -185,18 +181,18 @@ def cmd_three_bin(cfg: dict) -> dict:
 
 
 def cmd_sweep_sigma(cfg: dict) -> dict:
-    data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     steps = cfg["steps"]
     if steps < 1:
         raise UsageError("--steps must be >= 1")
     sigmas = [float(s) for s in np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps)]
     d = cfg["d"]
+    stats = [three_bin_statistic(s, d) for s in sigmas]
+    data = read_csv(cfg["in_path"])
+    spec = _bootstrap_spec(cfg, data.n)
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
 
     # one shared resample stream so neighbouring sigma values are paired
-    stats = [three_bin_statistic(s, d) for s in sigmas]
     values = resample_values(spec, [data.x], [0], lambda xs: [stat(xs) for stat in stats])
 
     rows = []
@@ -231,11 +227,11 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
 
 def cmd_moments(cfg: dict) -> dict:
-    data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     # the range is only built for a supported largest order
     orders = range(MIN_MOMENT_ORDER, check_moment_order(cfg["n_max"]) + 1)
     statistic = min_eigenvalue_statistic(*orders)
+    data = read_csv(cfg["in_path"])
+    spec = _bootstrap_spec(cfg, data.n)
     lam = resample_values(spec, [data.x], [0], statistic)
     rows = []
     for n, point, row in zip(orders, statistic(data.x), lam):
@@ -294,8 +290,7 @@ def cmd_estimate(cfg: dict) -> dict:
 
 
 def cmd_ep(cfg: dict) -> dict:
-    params = StateParams(cfg["r"], cfg["loss"], cfg["delta"])
-    state = state_from_params(params, cfg["cutoff"])
+    state = state_from_params(StateParams(cfg["r"], cfg["loss"], cfg["delta"]), cfg["cutoff"])
     return {
         "ep": entanglement_potential(state),
         "cutoff": state.cutoff,
@@ -308,12 +303,16 @@ def cmd_ep(cfg: dict) -> dict:
 
 
 def cmd_compare(cfg: dict) -> dict:
-    data = read_csv(cfg["in_path"])
     orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
+    # the statistics compare_methods builds, built here too so that every option is checked before the read
+    three_bin_statistic(cfg["sigma"], cfg["d"])
+    min_eigenvalue_statistic(*orders)
+    cutoff = check_cutoff(cfg["cutoff"])
+    data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     reports = compare_methods(data, cfg["sigma"], cfg["d"], orders, spec)
     params = simulation_params(data.meta)
-    ep = entanglement_potential(state_from_params(params, cfg["cutoff"])) if params is not None else None
+    ep = entanglement_potential(state_from_params(params, cutoff)) if params is not None else None
     if cfg["out"]:
         columns = ["method", "sigma", "d", "n", "mean", "std", "v", "n_flagged"]
         _write_table(cfg["out"], columns, ({**rep.params, **rep.to_json_dict()} for rep in reports))
@@ -483,11 +482,11 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             _emit({**command.run(cfg), "config": cfg})
         return EXIT_OK
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, exc)
-    except (CsvFormatError, UndefinedStatisticError, FileNotFoundError) as exc:
+    except QuadbinError as exc:
+        return _fail(exc.exit_code, exc)
+    except OSError as exc:
         return _fail(EXIT_DATA, exc)
-    except (EstimationError, EigensolverError, np.linalg.LinAlgError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, OverflowError) as exc:
         return _fail(EXIT_NUMERIC, exc)
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)

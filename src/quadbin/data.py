@@ -228,11 +228,16 @@ def read_csv(path) -> Dataset:
     """Read a ``theta,x`` CSV written by write_csv (or by hand).
 
     Raises CsvFormatError with a 1-based line number on any malformed or
-    non-finite entry. Picks up the metadata sidecar when present.
+    non-finite entry, bytes that are not UTF-8 included. Picks up the metadata
+    sidecar when present.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
     thetas = np.empty(len(lines) - 1)

@@ -9,8 +9,6 @@ normally ordered quadrature moments and looks for a negative eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EigensolverError, UndefinedStatisticError
@@ -18,9 +16,9 @@ from .model import QuadratureDistribution
 
 __all__ = [
     "CLASSICAL_LIMIT",
-    "MomentMatrix",
     "three_point_R",
     "three_bin_ratio",
+    "check_bin_distance",
     "analytic_three_bin_R",
     "normally_ordered_moments",
     "check_moment_order",
@@ -52,14 +50,24 @@ def three_point_R(dist: QuadratureDistribution, s: float) -> float:
 
 
 def three_bin_ratio(cpos, cneg, c0, sigma: float, d: int) -> float:
-    """The ratio C_d C_-d / C_0^2 * e^{sigma^2 d^2} from bin counts or bin masses."""
-    return float(cpos * cneg / c0**2 * np.exp(sigma**2 * d**2))
+    """The ratio C_d C_-d / C_0^2 * e^{sigma^2 d^2} from bin counts or bin masses.
+
+    The exponent is a numpy scalar, so a bin size too large for it gives inf
+    (or NaN against a zero count) where a float's square raises OverflowError.
+    """
+    return float(cpos * cneg / c0**2 * np.exp(np.float64(sigma) ** 2 * d**2))
+
+
+def check_bin_distance(d: int) -> int:
+    """``d`` unchanged once it is a usable bin distance; ValueError otherwise."""
+    if d < 1:
+        raise ValueError(f"bin distance must be a positive integer, got {d!r}")
+    return d
 
 
 def analytic_three_bin_R(dist: QuadratureDistribution, sigma: float, d: int) -> float:
     """Population value of the binned ratio test, from the model bin masses."""
-    if d < 1:
-        raise ValueError(f"bin distance must be a positive integer, got {d!r}")
+    check_bin_distance(d)
     pneg, p0, ppos = dist.bin_probabilities(sigma, np.array([-d, 0, d]))
     return three_bin_ratio(ppos, pneg, p0, sigma, d)
 
@@ -69,7 +77,8 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
 
     Order j is mean(H_j(x_i / sqrt(2))) / 2^{j/2} with physicists' Hermite
     polynomials, evaluated by the three-term recurrence (closed-form
-    coefficients cancel catastrophically at high order).
+    coefficients cancel catastrophically at high order). Outcomes too large
+    for a moment to be finite are a data error: UndefinedStatisticError.
     """
     xa = np.asarray(x, dtype=float)
     if xa.size == 0:
@@ -87,6 +96,8 @@ def normally_ordered_moments(x, j_max: int) -> np.ndarray:
     for j in range(2, j_max + 1):
         h_prev, h_cur = h_cur, 2.0 * y * h_cur - 2.0 * (j - 1) * h_prev
         out[j] = h_cur.mean() / 2.0 ** (j / 2.0)
+    if not np.all(np.isfinite(out)):
+        raise UndefinedStatisticError("normally ordered moments overflow; the moment matrix is not finite")
     return out
 
 
@@ -97,24 +108,12 @@ def check_moment_order(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Hankel matrix of normally ordered moments and its smallest eigenvalue.
-
-    The verdict reads ``lambda_min`` under the bootstrap, against
-    ``CLASSICAL_LIMIT``: see ``stats.ViolationReport``.
-    """
-
-    order: int
-    entries: np.ndarray
-    lambda_min: float
-
-
-def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
-    """Build the order-``n`` matrix from precomputed moments 0..2n-2.
+def moment_matrix_from_moments(moments, n: int) -> float:
+    """Smallest eigenvalue of the order-``n`` Hankel matrix of precomputed moments 0..2n-2.
 
     Entry (i, j) is the moment of order i + j, so every anti-diagonal reuses
-    the same estimate.
+    the same estimate. The verdict reads this eigenvalue under the bootstrap,
+    against ``CLASSICAL_LIMIT``: see ``stats.ViolationReport``.
     """
     check_moment_order(n)
     moments = np.asarray(moments, dtype=float)
@@ -127,5 +126,5 @@ def moment_matrix_from_moments(moments, n: int) -> MomentMatrix:
     # written so that a NaN residual or matrix norm fails the check too
     if not residual <= EIG_RESIDUAL_TOL * max(np.linalg.norm(m), 1.0):
         raise EigensolverError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    return MomentMatrix(n, m, lam)
+    return lam
 

@@ -33,11 +33,19 @@ __all__ = [
     "entanglement_potential",
     "state_from_params",
     "quadrature_variance",
+    "check_cutoff",
 ]
 
 DEFAULT_CUTOFF = 10
 # Largest cutoff accepted; a two-mode state at cutoff 60 solves in about a second.
 MAX_CUTOFF = 60
+
+
+def check_cutoff(cutoff: int) -> int:
+    """``cutoff`` unchanged once it is a supported Fock cutoff; ValueError otherwise."""
+    if not 0 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"Fock cutoff must lie in [0, {MAX_CUTOFF}], got {cutoff!r}")
+    return cutoff
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     """
     if r < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
-    if not 0 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"Fock cutoff must lie in [0, {MAX_CUTOFF}], got {cutoff!r}")
+    check_cutoff(cutoff)
     c = np.zeros(cutoff + 1)
     c[0] = 1.0 / np.sqrt(np.cosh(r))
     t = np.tanh(r)

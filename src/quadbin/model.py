@@ -19,6 +19,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr
 
+from .binning import check_bin_size
+
 __all__ = [
     "StateParams",
     "QuadratureDistribution",
@@ -167,8 +169,7 @@ class QuadratureDistribution:
         Bin ``m`` covers [(m - 1/2) sigma, (m + 1/2) sigma). The masses are
         even in ``m`` and sum to 1 over all indices.
         """
-        if not 0.0 < sigma < np.inf:
-            raise ValueError(f"bin size must be positive and finite, got {sigma!r}")
+        check_bin_size(sigma)
         v, w = self._node_variances()
         ma = np.asarray(m, dtype=float)
         scale = sigma / np.sqrt(v)

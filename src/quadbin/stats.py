@@ -7,9 +7,10 @@ from typing import Callable
 
 import numpy as np
 
-from .binning import bin_indices
+from .binning import bin_indices, check_bin_size
 from .detect import (
     CLASSICAL_LIMIT,
+    check_bin_distance,
     check_moment_order,
     moment_matrix_from_moments,
     normally_ordered_moments,
@@ -150,9 +151,10 @@ def three_bin_statistic(sigma: float, d: int) -> Statistic:
     """Binned ratio statistic at fixed (sigma, d): the point value on the whole input and each resample's value.
 
     An input with an empty centre or side bin has no ratio and gives NaN.
+    Both options are checked here, before any resample is drawn.
     """
-    if d < 1:
-        raise ValueError(f"bin distance must be a positive integer, got {d!r}")
+    check_bin_distance(d)
+    check_bin_size(sigma)
 
     def stat(x: np.ndarray) -> float:
         m = bin_indices(x, sigma)
@@ -178,7 +180,7 @@ def min_eigenvalue_statistic(*orders: int) -> Statistic:
 
     def stat(x: np.ndarray) -> list[float]:
         moms = normally_ordered_moments(x, j_max)
-        return [moment_matrix_from_moments(moms, n).lambda_min for n in orders]
+        return [moment_matrix_from_moments(moms, n) for n in orders]
 
     return stat
 

@@ -113,7 +113,7 @@ def vacuum_battery():
     for seed in range(50):
         data = sample_dataset(VACUUM, 100_000, seed=20_000 + seed)
         r_vals.append(ratio_point(data.x, 1.0, 1))
-        lam_vals.append(moment_matrix_from_moments(normally_ordered_moments(data.x, 2), 2).lambda_min)
+        lam_vals.append(moment_matrix_from_moments(normally_ordered_moments(data.x, 2), 2))
     return np.array(r_vals), np.array(lam_vals), time.perf_counter() - t0
 
 
@@ -223,14 +223,14 @@ def test_criterion_5_variance_criterion_equivalence():
     agree = 0
     for _ in range(100):
         x = rng.normal(0.0, rng.uniform(0.85, 1.15), rng.integers(500, 5000))
-        lam = moment_matrix_from_moments(normally_ordered_moments(x, 2), 2).lambda_min
+        lam = moment_matrix_from_moments(normally_ordered_moments(x, 2), 2)
         var = float(((x - x.mean()) ** 2).mean())
         agree += (lam < 0.0) == (var < 1.0)
     v = variance_from_db(-2.3)
     injected = moment_matrix_from_moments([1.0, 0.0, v - 1.0], 2)
-    exact_ok = abs(injected.lambda_min - (v - 1.0)) <= 1e-12
+    exact_ok = abs(injected - (v - 1.0)) <= 1e-12
     ok = agree == 100 and exact_ok
-    report("5", ok, f"verdict equivalence {agree}/100, injected lambda(2) err {abs(injected.lambda_min - (v - 1.0)):.1e}")
+    report("5", ok, f"verdict equivalence {agree}/100, injected lambda(2) err {abs(injected - (v - 1.0)):.1e}")
     assert agree == 100
     assert exact_ok
 

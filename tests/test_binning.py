@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from quadbin.binning import bin_indices, histogram
+from quadbin.binning import bin_indices, check_bin_size, histogram
 from quadbin.data import Dataset, sample_dataset
 from quadbin.model import QuadratureDistribution, StateParams
 
@@ -41,6 +41,12 @@ class TestBinIndex:
             bin_indices([1.0], 0.0)
         with pytest.raises(ValueError, match="positive and finite"):
             bin_indices([1.0], np.inf)
+
+    def test_bin_size_rule_returns_the_value_or_names_it(self):
+        assert check_bin_size(0.5) == 0.5
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"^bin size must be positive and finite, got {bad!r}$"):
+                check_bin_size(bad)
 
 
 class TestHistogram:

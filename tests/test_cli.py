@@ -227,6 +227,18 @@ class TestSweepCommand:
         assert [row["nonclassical"] for row in rows] == ["0"] * 3
         assert payload["min_r_std"] == 0.0
 
+    def test_huge_bin_width_is_a_pinned_row(self, capsys, tmp_path, readme_run):
+        # the analytic ratio at sigma = 1e200 has no finite value; it no longer raises OverflowError
+        out = tmp_path / "sweep.csv"
+        code, payload, _ = run(
+            capsys, "sweep-sigma", "--in", readme_run, "--sigma-from", "1", "--sigma-to", "1e200", "--steps", "2",
+            "--out", str(out),
+        )
+        assert code == 0 and payload["min_sigma"] == 1.0
+        lines = out.read_text().splitlines()
+        huge = dict(zip(lines[0].split(","), lines[2].split(",")))
+        assert (huge["sigma"], huge["r_analytic"], huge["nonclassical"], huge["n_flagged"]) == ("1e+200", "nan", "0", "100")
+
     def test_every_row_pinned_is_a_data_error(self, capsys, tmp_path):
         path = write_pinning_file(tmp_path / "d.csv", [3.0])
         code, _, err = run(capsys, "sweep-sigma", "--in", path, "--d", "3", "--out", str(tmp_path / "sweep.csv"))
@@ -252,8 +264,8 @@ class TestMomentsCommand:
         data = read_csv(small_files["x"])
         assert [row["n"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
         for row in payload["rows"]:
-            matrix = moment_matrix_from_moments(normally_ordered_moments(data.x, 2 * row["n"] - 2), row["n"])
-            assert row["lambda_point"] == pytest.approx(matrix.lambda_min, abs=0.0)
+            lam = moment_matrix_from_moments(normally_ordered_moments(data.x, 2 * row["n"] - 2), row["n"])
+            assert row["lambda_point"] == pytest.approx(lam, abs=0.0)
 
     def test_equal_resamples_have_no_violation_degree(self, capsys, tmp_path):
         # every resample of constant records gives the same eigenvalues, whose np.std is a few ulps
@@ -297,8 +309,8 @@ class TestEstimateCommand:
 
 
 class TestDegenerateInput:
-    """Data that fix no statistic exit 2, failed numerics exit 3, bad bin sizes and distances and oversized flags
-    are usage errors."""
+    """Data that fix no statistic and files that cannot be read exit 2, failed numerics exit 3, bad bin sizes and
+    distances and oversized flags are usage errors."""
 
     HUGE = [1e200, -1e200] * 4
     NORMAL = list(np.random.default_rng(4).normal(0, 1, 400))
@@ -315,9 +327,10 @@ class TestDegenerateInput:
             (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [1e100, -1e100, 0.0], "b": [1.0, -1.0, 2.0]}, 2),
             # heavy-tailed x (kurtosis 4.5) passes every check before the variance sum overflows
             (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [-3.0, 3.0] + [0.0] * 7, "b": [1e80, -1e80] * 4}, 3),
-            (["moments", "--in", "{a}"], {"a": HUGE}, 3),
-            # the order-2 eigenpair of the overflowed moments is NaN, which the residual check must catch
-            (["moments", "--in", "{a}", "--n-max", "2", "--bootstrap", "5"], {"a": HUGE[:4]}, 3),
+            # overflowing moments are a data error, as they are for estimate, before any eigensolve
+            (["moments", "--in", "{a}"], {"a": HUGE}, 2),
+            (["moments", "--in", "{a}", "--n-max", "2", "--bootstrap", "5"], {"a": HUGE[:4]}, 2),
+            (["compare", "--in", "{a}", "--bootstrap", "5"], {"a": HUGE}, 2),
             (["moments", "--in", "{a}", "--resample-size", "5"], {"a": [0.1, 1.2, -1.3]}, 1),
             (["sweep-sigma", "--in", "{a}", "--d", "0", "--steps", "3", "--out", "{out}"], {"a": NORMAL}, 1),
             (["sweep-sigma", "--in", "{a}", "--d", "-1", "--steps", "3", "--out", "{out}"], {"a": NORMAL}, 1),
@@ -335,21 +348,63 @@ class TestDegenerateInput:
             (["compare", "--in", "{a}", "--n-list", "100000000", "--bootstrap", "5"], {"a": NORMAL}, 1),
             # a cutoff above fock.MAX_CUTOFF is rejected before its Fock matrices are allocated
             (["ep", "--r", "1", "--cutoff", "100000"], {}, 1),
+            # a file that cannot be read or decoded is a data error, whichever option names it
+            (["three-bin", "--in", "{dir}"], {}, 2),
+            (["simulate", "--r", "0.3", "--n", "10", "--out", "{dir}"], {}, 2),
+            (["ep", "--r", "1", "--config", "{dir}"], {}, 2),
+            (["three-bin", "--in", "{a}"], {"a": b"\x89PNG\r\n\x1a\n\x00\x00"}, 2),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
             "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
-            "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
+            "compare-moment-overflow", "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
             "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
             "moments-n-max-nine", "compare-n-list-nine", "moments-n-max-huge", "compare-n-list-huge",
-            "ep-cutoff-huge",
+            "ep-cutoff-huge", "three-bin-in-directory", "simulate-out-directory", "ep-config-directory",
+            "three-bin-binary-file",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
-        paths = {key: write_records(tmp_path / f"{key}.csv", xs) for key, xs in files.items()}
-        got, _, err = run(capsys, *(arg.format(out=tmp_path / "out.csv", **paths) for arg in argv))
+        paths = {}
+        for key, content in files.items():
+            paths[key] = tmp_path / f"{key}.csv"
+            if isinstance(content, bytes):
+                paths[key].write_bytes(content)
+            else:
+                write_records(paths[key], content)
+        got, _, err = run(capsys, *(arg.format(out=tmp_path / "out.csv", dir=tmp_path, **paths) for arg in argv))
         assert got == code and err["error"]["exit_code"] == code
+
+
+class TestOptionsCheckedBeforeRead:
+    """A bad option value fails with its rule's message although the input file does not exist."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["three-bin", "--sigma", "inf"], "bin size must be positive and finite, got inf"),
+            (["three-bin", "--d", "0"], "bin distance must be a positive integer, got 0"),
+            (["sweep-sigma", "--steps", "0"], "--steps must be >= 1"),
+            (["sweep-sigma", "--sigma-from", "-1", "--steps", "3"], "bin size must be positive and finite, got -1.0"),
+            (["sweep-sigma", "--d", "0"], "bin distance must be a positive integer, got 0"),
+            (["moments", "--n-max", "9"], "matrix order must lie in [2, 8], got 9"),
+            (["compare", "--n-list", "2,9"], "matrix order must lie in [2, 8], got 9"),
+            (["compare", "--n-list", ","], "need at least one moment order"),
+            (["compare", "--sigma", "inf"], "bin size must be positive and finite, got inf"),
+            (["compare", "--d", "0"], "bin distance must be a positive integer, got 0"),
+            (["compare", "--cutoff", "100000"], "Fock cutoff must lie in [0, 60], got 100000"),
+        ],
+        ids=[
+            "three-bin-sigma", "three-bin-d", "sweep-steps", "sweep-sigma-from", "sweep-d", "moments-n-max",
+            "compare-n-list", "compare-n-list-empty", "compare-sigma", "compare-d", "compare-cutoff",
+        ],
+    )
+    def test_bad_option_fails_before_the_missing_input(self, capsys, tmp_path, argv, message):
+        out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep-sigma" else []
+        code, _, err = run(capsys, *argv, "--in", str(tmp_path / "missing.csv"), *out)
+        assert code == 1 and err["error"]["exit_code"] == 1
+        assert err["error"]["message"] == message
 
 
 class TestCleanStderr:
@@ -359,11 +414,13 @@ class TestCleanStderr:
         "argv, xs, code",
         [
             (["estimate", "--in-x", "a.csv", "--in-p", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2),
-            (["moments", "--in", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 3),
+            (["moments", "--in", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2),
             # the int64 bin cast of one huge record overflows, and the command still succeeds
             (["three-bin", "--in", "a.csv", "--bootstrap", "5"], [*np.random.default_rng(4).normal(0, 1, 400), 1e200], 0),
+            # reading a directory raises IsADirectoryError, which ends as a JSON error and not a traceback
+            (["three-bin", "--in", "."], [], 2),
         ],
-        ids=["estimate-overflow", "moments-overflow", "three-bin-huge-record"],
+        ids=["estimate-overflow", "moments-overflow", "three-bin-huge-record", "three-bin-directory"],
     )
     def test_stderr_is_one_json_error_or_empty(self, tmp_path, argv, xs, code):
         write_records(tmp_path / "a.csv", xs)
@@ -626,7 +683,7 @@ class TestBootstrapNumbersByHand:
         for b in range(spec.n_resamples):
             moms = normally_ordered_moments(data.x[resample_indices(spec, data.n, b)], 6)
             for n in lam:
-                lam[n].append(moment_matrix_from_moments(moms, n).lambda_min)
+                lam[n].append(moment_matrix_from_moments(moms, n))
         for row in payload["rows"]:
             assert row["lambda_mean"] == pytest.approx(np.mean(lam[row["n"]]), abs=0.0)
             assert row["lambda_std"] == pytest.approx(np.std(lam[row["n"]]), abs=0.0)

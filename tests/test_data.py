@@ -224,6 +224,14 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             read_csv(path)
 
+    def test_undecodable_bytes_report_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"theta,x\n0.0,1.0\n0.5,\xff\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n")

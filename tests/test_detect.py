@@ -1,5 +1,7 @@
 """Detector tests: ratio tests against closed forms, moment estimator algebra."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
@@ -9,11 +11,13 @@ from quadbin.data import sample_dataset
 from quadbin.detect import (
     CLASSICAL_LIMIT,
     analytic_three_bin_R,
+    check_bin_distance,
     moment_matrix_from_moments,
     normally_ordered_moments,
+    three_bin_ratio,
     three_point_R,
 )
-from quadbin.errors import EigensolverError
+from quadbin.errors import EigensolverError, UndefinedStatisticError
 from quadbin.estimate import params_from_variances
 from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import (
@@ -85,6 +89,24 @@ class TestThreeBin:
         with pytest.raises(ValueError):
             three_bin_statistic(1.0, 0)
 
+    def test_options_checked_when_the_statistic_is_built(self):
+        # no outcome is binned before either rule has run
+        with pytest.raises(ValueError, match=r"^bin size must be positive and finite, got inf$"):
+            three_bin_statistic(np.inf, 1)
+        with pytest.raises(ValueError, match=r"^bin distance must be a positive integer, got 0$"):
+            three_bin_statistic(1.0, 0)
+        assert check_bin_distance(3) == 3
+
+    def test_ratio_matches_the_float_formula_bit_for_bit(self):
+        for sigma, d in itertools.product(np.linspace(0.01, 3.0, 300).tolist(), range(1, 9)):
+            assert three_bin_ratio(97, 89, 401, sigma, d) == float(97 * 89 / 401**2 * np.exp(sigma**2 * d**2))
+
+    def test_huge_bin_size_gives_inf_or_nan_not_overflow(self):
+        # sigma**2 of a float raises OverflowError at 1e200; the numpy scalar gives inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert three_bin_ratio(1, 1, 1, 1e200, 1) == np.inf
+            assert np.isnan(three_bin_ratio(0.0, 1e-30, 1.0, 1e200, 2))
+
 
 class TestAnalyticThreeBin:
     def test_vacuum_small_bin_limit(self):
@@ -105,6 +127,17 @@ class TestAnalyticThreeBin:
         got = analytic_three_bin_R(QuadratureDistribution(anchor), 1.0, 1)
         assert got == pytest.approx(ANCHOR_R_SIGMA1, abs=1e-12)
         assert got == pytest.approx(0.60, abs=3 * 0.04)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("delta", [0.15, 0.5])
+    def test_small_bins_tend_to_the_three_point_ratio_at_second_order(self, s, delta):
+        # bin size s/d at distance d puts the side bins at +-s; the error falls as sigma^2
+        dist = QuadratureDistribution(StateParams(1.0409, 0.414, delta), "x")
+        exact = three_point_R(dist, s)
+        errors = [abs(analytic_three_bin_R(dist, s / d, d) - exact) for d in (4, 8, 16, 32)]
+        assert errors[-1] <= 5e-4
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
 
     def test_monte_carlo_converges_to_analytic(self):
         p = StateParams(0.6, 0.25, 0.2)
@@ -145,6 +178,15 @@ class TestNormallyOrderedMoments:
             expected = hermval(y, coeffs).mean() / 2.0 ** (j / 2.0)
             assert moms[j] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
+    def test_overflow_is_a_data_error(self):
+        with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
+            normally_ordered_moments(np.array([1e200, -1e200] * 4), 2)
+
+
+def hankel(moments, n):
+    """The order-``n`` moment matrix built entry by entry: (i, j) holds the moment of order i + j."""
+    return np.array([[moments[i + j] for j in range(n)] for i in range(n)])
+
 
 class TestMomentMatrix:
     @pytest.mark.parametrize("moments", [[1.0, np.nan, 0.5], [1.0, 0.0, np.inf]], ids=["nan", "inf"])
@@ -154,26 +196,23 @@ class TestMomentMatrix:
 
     def test_exact_injection_two_by_two(self):
         v = 10**-0.23  # the -2.3 dB squeezed variance
-        mm = moment_matrix_from_moments([1.0, 0.0, v - 1.0], 2)
-        assert np.allclose(mm.entries, [[1.0, 0.0], [0.0, v - 1.0]])
-        assert mm.lambda_min == pytest.approx(v - 1.0, abs=1e-12)
-        assert mm.lambda_min == pytest.approx(-0.411, abs=5e-4)
-        assert mm.lambda_min < CLASSICAL_LIMIT["moment"]
+        moments = [1.0, 0.0, v - 1.0]
+        lam = moment_matrix_from_moments(moments, 2)
+        assert np.array_equal(hankel(moments, 2), [[1.0, 0.0], [0.0, v - 1.0]])
+        assert lam == np.linalg.eigh(hankel(moments, 2))[0][0]
+        assert lam == pytest.approx(v - 1.0, abs=1e-12)
+        assert lam == pytest.approx(-0.411, abs=5e-4)
+        assert lam < CLASSICAL_LIMIT["moment"]
 
     def test_vacuum_exact_moments_on_boundary(self):
         for n in (2, 3):
-            mm = moment_matrix_from_moments(np.zeros(2 * n - 1) + (np.arange(2 * n - 1) == 0), n)
-            assert abs(mm.lambda_min) <= 1e-12
+            lam = moment_matrix_from_moments(np.zeros(2 * n - 1) + (np.arange(2 * n - 1) == 0), n)
+            assert abs(lam) <= 1e-12
 
     def test_hankel_structure_bit_exact(self):
         data = sample_dataset(StateParams(0.5, 0.2, 0.3), 4000, seed=6)
-        mm = moment_matrix_from_moments(normally_ordered_moments(data.x, 8), 5)
-        n = mm.order
-        for i in range(n):
-            for j in range(n):
-                assert mm.entries[i, j] == mm.entries[j, i]
-                if i + 1 < n and j >= 1:
-                    assert mm.entries[i, j] == mm.entries[i + 1, j - 1]
+        moments = normally_ordered_moments(data.x, 8)
+        assert moment_matrix_from_moments(moments, 5) == np.linalg.eigh(hankel(moments, 5))[0][0]
 
     def test_verdict_equals_variance_criterion(self):
         rng = np.random.default_rng(77)

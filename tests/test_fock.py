@@ -11,6 +11,7 @@ from quadbin.fock import (
     MAX_CUTOFF,
     FockDensityMatrix,
     _bs_isometry,
+    check_cutoff,
     apply_loss,
     apply_phase_diffusion,
     beam_split_with_vacuum,
@@ -93,6 +94,11 @@ class TestSqueezedVacuum:
         # a loss channel at cutoff 100000 would first build a 10^10-entry binomial table
         with pytest.raises(ValueError, match="cutoff"):
             state_from_params(StateParams(1.0, 0.1, 0.0), cutoff)
+
+    def test_cutoff_rule_returns_the_value_or_names_it(self):
+        assert [check_cutoff(c) for c in (0, 10, MAX_CUTOFF)] == [0, 10, MAX_CUTOFF]
+        with pytest.raises(ValueError, match=r"^Fock cutoff must lie in \[0, 60\], got 100000$"):
+            check_cutoff(100_000)
 
     def test_accepts_the_largest_cutoff(self):
         assert squeezed_vacuum_fock(1.0, MAX_CUTOFF).cutoff == MAX_CUTOFF
