@@ -69,6 +69,7 @@ from .stats import (
     resample_indices,
     resample_values,
     significant,
+    three_bin_cells,
     three_bin_statistic,
 )
 

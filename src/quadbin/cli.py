@@ -53,6 +53,7 @@ from .stats import (
     resample_values,
     significant,
     spread,
+    three_bin_cells,
     three_bin_statistic,
 )
 
@@ -160,7 +161,7 @@ def cmd_three_bin(cfg: dict) -> dict:
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     r_point = statistic(data.x)
-    boot = bootstrap(data, spec, statistic)
+    boot = bootstrap(data, spec, three_bin_cells(data.x, [sigma], d))
     (report,) = significant([ViolationReport.of("three-bin", {"sigma": sigma, "d": d}, boot)])
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
@@ -186,14 +187,15 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
         raise UsageError("--steps must be >= 1")
     sigmas = [float(s) for s in np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps)]
     d = cfg["d"]
-    stats = [three_bin_statistic(s, d) for s in sigmas]
+    for s in sigmas:
+        three_bin_statistic(s, d)  # checks every bin width before the read
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
 
     # one shared resample stream so neighbouring sigma values are paired
-    values = resample_values(spec, [data.x], [0], lambda xs: [stat(xs) for stat in stats])
+    values = resample_values(spec, [data.n], [0], three_bin_cells(data.x, sigmas, d))
 
     rows = []
     for s, row in zip(sigmas, values):
@@ -232,7 +234,7 @@ def cmd_moments(cfg: dict) -> dict:
     statistic = min_eigenvalue_statistic(*orders)
     data = read_csv(cfg["in_path"])
     spec = _bootstrap_spec(cfg, data.n)
-    lam = resample_values(spec, [data.x], [0], statistic)
+    lam = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
     rows = []
     for n, point, row in zip(orders, statistic(data.x), lam):
         rep = ViolationReport.of("moment", {"n": n}, BootstrapResult.of(row))
@@ -267,7 +269,9 @@ def cmd_estimate(cfg: dict) -> dict:
     summary = summarize(data_x.x, data_p.x)
     params = estimate_params(summary)
     spec = _bootstrap_spec(cfg, min(data_x.n, data_p.n))
-    draws = resample_values(spec, [data_x.x, data_p.x], [1, 2], _estimate_statistic)
+    draws = resample_values(
+        spec, [data_x.n, data_p.n], [1, 2], lambda ix, ip: _estimate_statistic(data_x.x[ix], data_p.x[ip])
+    )
     # failed draws are dropped from the spread
     failed = np.isnan(draws).any(axis=0)
     std_r, std_l, std_delta = (None if failed.all() else spread(row[~failed]) for row in draws)

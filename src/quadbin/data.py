@@ -229,7 +229,7 @@ def read_csv(path) -> Dataset:
 
     Raises CsvFormatError with a 1-based line number on any malformed or
     non-finite entry, bytes that are not UTF-8 included. Picks up the metadata
-    sidecar when present.
+    sidecar when present; one that is not a JSON object is a CsvFormatError too.
     """
     path = Path(path)
     try:
@@ -255,8 +255,13 @@ def read_csv(path) -> Dataset:
         thetas[i - 2], xs[i - 2] = t, v
     meta_file = _meta_path(path)
     if meta_file.exists():
-        with open(meta_file, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        try:
+            with open(meta_file, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CsvFormatError(f"{meta_file}: metadata sidecar is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CsvFormatError(f"{meta_file}: metadata sidecar must hold a JSON object")
     else:
         meta = {"source": "ingested", "path": str(path)}
     return Dataset(thetas, xs, meta)

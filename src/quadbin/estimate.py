@@ -68,11 +68,13 @@ def summarize(x, p) -> MomentSummary:
         raise UndefinedStatisticError("need at least two records per quadrature")
     dx = x - x.mean()
     dp = p - p.mean()
-    # numpy scalars: an overflowing power gives inf, where a float's raises OverflowError
-    var_x, var_p = (dx**2).mean(), (dp**2).mean()
+    # products, not the generic pow (dx**4 is about 15x slower than s * s); numpy
+    # scalars, so an overflowing product gives inf where a float's power raises OverflowError
+    sx = dx * dx
+    var_x, var_p = sx.mean(), (dp * dp).mean()
     if var_x == 0.0 or var_p == 0.0:
         raise UndefinedStatisticError("degenerate (constant) quadrature data")
-    kurt_x = (dx**4).mean() / var_x**2
+    kurt_x = (sx * sx).mean() / var_x**2
     if not np.isfinite([var_x, var_p, kurt_x]).all():
         raise UndefinedStatisticError("quadrature moments overflow; the summary is not finite")
     return MomentSummary(float(var_x), float(var_p), float(kurt_x))

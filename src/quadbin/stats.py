@@ -26,6 +26,7 @@ __all__ = [
     "resample_values",
     "bootstrap",
     "three_bin_statistic",
+    "three_bin_cells",
     "min_eigenvalue_statistic",
     "spread",
     "significant",
@@ -35,8 +36,11 @@ __all__ = [
 SUBSAMPLE = "subsample-from-pool"
 REPLACEMENT = "resample-with-replacement"
 
-# A statistic maps one 1-D float array per pool to a float or a list of floats;
-# NaN marks a value the resample leaves undefined (an empty bin, a failed inversion).
+# A statistic maps one 1-D array per pool to a float or a list of floats; NaN marks
+# a value the input leaves undefined (an empty bin, a failed inversion). Under
+# resample_values the arrays are index sets into the pools, so a statistic can be
+# prepared on the pools once (three_bin_cells); one of values gathers first,
+# ``lambda i: stat(x[i])``, and on the whole input it gives the point value.
 Statistic = Callable[..., float | list[float]]
 
 
@@ -122,16 +126,16 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
     return rng.integers(0, pool_size, size=spec.resample_size)
 
 
-def resample_values(spec: BootstrapSpec, pools, streams, statistic: Statistic) -> np.ndarray:
-    """Evaluate ``statistic`` on ``n_resamples`` paired resamples of the 1-D arrays ``pools``.
+def resample_values(spec: BootstrapSpec, sizes, streams, statistic: Statistic) -> np.ndarray:
+    """Evaluate ``statistic`` on ``n_resamples`` paired resamples of pools of the given ``sizes``.
 
-    Resample ``b`` draws one index set per pool from that pool's stream; the
-    statistic gets one resampled array per pool. Returns the values as a
-    (k, B) array, one contiguous row per component, NaN entries included.
+    Resample ``b`` draws one index set per pool from that pool's stream, and
+    the statistic gets those index sets. Returns the values as a (k, B) array,
+    one contiguous row per component, NaN entries included.
     """
     values = None
     for b in range(spec.n_resamples):
-        value = statistic(*(pool[resample_indices(spec, len(pool), b, s)] for pool, s in zip(pools, streams)))
+        value = statistic(*(resample_indices(spec, n, b, s) for n, s in zip(sizes, streams)))
         if values is None:
             values = np.empty((np.size(value), spec.n_resamples))
         values[:, b] = value
@@ -139,12 +143,12 @@ def resample_values(spec: BootstrapSpec, pools, streams, statistic: Statistic) -
 
 
 def bootstrap(data, spec: BootstrapSpec, statistic: Statistic) -> BootstrapResult:
-    """Evaluate ``statistic`` on ``n_resamples`` resamples of the dataset's outcomes.
+    """Evaluate ``statistic`` on ``n_resamples`` index sets into the dataset's records.
 
     The B values are the full empirical estimator distribution; undefined
     ones are pinned to 0.0 and counted (see BootstrapResult).
     """
-    return BootstrapResult.of(resample_values(spec, [data.x], [0], statistic)[0])
+    return BootstrapResult.of(resample_values(spec, [data.n], [0], statistic)[0])
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
@@ -162,6 +166,40 @@ def three_bin_statistic(sigma: float, d: int) -> Statistic:
         if c0 == 0 or cpos == 0 or cneg == 0:
             return np.nan
         return three_bin_ratio(cpos, cneg, c0, sigma, d)
+
+    return stat
+
+
+def three_bin_cells(x, sigmas, d: int) -> Statistic:
+    """Binned ratio at every bin size in ``sigmas``, prepared on the pool ``x``: index sets in, one ratio per size out.
+
+    floor(x / sigma + 1/2) is monotone in x, so at each size the bins -d, 0
+    and d are runs of the sorted pool. The sorted pool is cut at every run
+    boundary of every size, and each record gets the number of its cell. A
+    resample's bin counts are then exact differences of its cumulative cell
+    counts, and each ratio is bit for bit that of ``three_bin_statistic(sigma,
+    d)`` on the resampled values, NaN for an empty bin included.
+    """
+    check_bin_distance(d)
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    edges = [-d - 0.5, -d + 0.5, -0.5, 0.5, d - 0.5, d + 0.5]
+    # sorted-pool positions where bins -d, 0 and d start and end, one row per size
+    bounds = np.array([np.searchsorted(bin_indices(ordered, sigma), edges) for sigma in sigmas]).reshape(-1, 6)
+    cuts = np.unique(bounds)
+    cell = np.empty(x.size, dtype=np.intp)
+    cell[order] = np.searchsorted(cuts, np.arange(x.size), side="right")
+    # a record sits before cut j exactly when its cell is at most j
+    at = np.searchsorted(cuts, bounds)
+
+    def stat(idx: np.ndarray) -> list[float]:
+        before = np.cumsum(np.bincount(cell[idx], minlength=cuts.size + 1))[at]
+        counts = (before[:, 1::2] - before[:, ::2]).tolist()
+        return [
+            three_bin_ratio(cpos, cneg, c0, sigma, d) if cneg and c0 and cpos else np.nan
+            for sigma, (cneg, c0, cpos) in zip(sigmas, counts)
+        ]
 
     return stat
 
@@ -211,7 +249,7 @@ def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSp
     violation degrees are directly comparable.
     """
     orders = sorted(set(int(n) for n in moment_orders))
-    ratio, eigenvalues = three_bin_statistic(sigma, d), min_eigenvalue_statistic(*orders)
-    values = resample_values(spec, [data.x], [0], lambda x: [ratio(x), *eigenvalues(x)])
+    ratio, eigenvalues = three_bin_cells(data.x, [sigma], d), min_eigenvalue_statistic(*orders)
+    values = resample_values(spec, [data.n], [0], lambda i: [*ratio(i), *eigenvalues(data.x[i])])
     rows = [("three-bin", {"sigma": sigma, "d": d})] + [("moment", {"n": n}) for n in orders]
     return significant([ViolationReport.of(m, p, BootstrapResult.of(v)) for (m, p), v in zip(rows, values)])

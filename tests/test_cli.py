@@ -353,6 +353,9 @@ class TestDegenerateInput:
             (["simulate", "--r", "0.3", "--n", "10", "--out", "{dir}"], {}, 2),
             (["ep", "--r", "1", "--config", "{dir}"], {}, 2),
             (["three-bin", "--in", "{a}"], {"a": b"\x89PNG\r\n\x1a\n\x00\x00"}, 2),
+            # the metadata sidecar is read with the records, and one that is not a JSON object is a data error
+            (["three-bin", "--in", "{a}"], {"a": NORMAL, "a.meta.json": b"{not json"}, 2),
+            (["three-bin", "--in", "{a}"], {"a": NORMAL, "a.meta.json": b"[1,2]"}, 2),
         ],
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
@@ -362,13 +365,13 @@ class TestDegenerateInput:
             "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
             "moments-n-max-nine", "compare-n-list-nine", "moments-n-max-huge", "compare-n-list-huge",
             "ep-cutoff-huge", "three-bin-in-directory", "simulate-out-directory", "ep-config-directory",
-            "three-bin-binary-file",
+            "three-bin-binary-file", "three-bin-sidecar-not-json", "three-bin-sidecar-array",
         ],
     )
     def test_exit_code(self, capsys, tmp_path, argv, files, code):
         paths = {}
         for key, content in files.items():
-            paths[key] = tmp_path / f"{key}.csv"
+            paths[key] = tmp_path / (key if "." in key else f"{key}.csv")
             if isinstance(content, bytes):
                 paths[key].write_bytes(content)
             else:
@@ -411,19 +414,27 @@ class TestCleanStderr:
     """Floating-point warnings never reach stderr, in a process of its own."""
 
     @pytest.mark.parametrize(
-        "argv, xs, code",
+        "argv, xs, code, sidecar",
         [
-            (["estimate", "--in-x", "a.csv", "--in-p", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2),
-            (["moments", "--in", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2),
+            (["estimate", "--in-x", "a.csv", "--in-p", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2, None),
+            (["moments", "--in", "a.csv", "--bootstrap", "5"], TestDegenerateInput.HUGE, 2, None),
             # the int64 bin cast of one huge record overflows, and the command still succeeds
-            (["three-bin", "--in", "a.csv", "--bootstrap", "5"], [*np.random.default_rng(4).normal(0, 1, 400), 1e200], 0),
+            (["three-bin", "--in", "a.csv", "--bootstrap", "5"], [*np.random.default_rng(4).normal(0, 1, 400), 1e200], 0, None),
             # reading a directory raises IsADirectoryError, which ends as a JSON error and not a traceback
-            (["three-bin", "--in", "."], [], 2),
+            (["three-bin", "--in", "."], [], 2, None),
+            # a sidecar that is not a JSON object ends as a JSON error, not a JSONDecodeError or TypeError traceback
+            (["three-bin", "--in", "a.csv"], TestDegenerateInput.NORMAL, 2, "{not json"),
+            (["three-bin", "--in", "a.csv"], TestDegenerateInput.NORMAL, 2, "[1,2]"),
         ],
-        ids=["estimate-overflow", "moments-overflow", "three-bin-huge-record", "three-bin-directory"],
+        ids=[
+            "estimate-overflow", "moments-overflow", "three-bin-huge-record", "three-bin-directory",
+            "three-bin-sidecar-not-json", "three-bin-sidecar-array",
+        ],
     )
-    def test_stderr_is_one_json_error_or_empty(self, tmp_path, argv, xs, code):
+    def test_stderr_is_one_json_error_or_empty(self, tmp_path, argv, xs, code, sidecar):
         write_records(tmp_path / "a.csv", xs)
+        if sidecar is not None:
+            (tmp_path / "a.meta.json").write_text(sidecar)
         got, out, err = run_process(tmp_path, *argv)
         assert got == code
         assert_one_json_answer(got, out, err)

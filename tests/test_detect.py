@@ -26,6 +26,7 @@ from quadbin.stats import (
     BootstrapSpec,
     bootstrap,
     min_eigenvalue_statistic,
+    three_bin_cells,
     three_bin_statistic,
 )
 
@@ -144,7 +145,7 @@ class TestAnalyticThreeBin:
         data = sample_dataset(p, 10_000, seed=50)
         dist = QuadratureDistribution(p)
         for sigma, d in ((0.6, 1), (1.0, 1), (0.5, 2)):
-            boot = bootstrap(data, BootstrapSpec(10_000, 100, 3, REPLACEMENT), three_bin_statistic(sigma, d))
+            boot = bootstrap(data, BootstrapSpec(10_000, 100, 3, REPLACEMENT), three_bin_cells(data.x, [sigma], d))
             point = three_bin_statistic(sigma, d)(data.x)
             assert abs(point - analytic_three_bin_R(dist, sigma, d)) <= 4 * boot.std
 

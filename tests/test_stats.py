@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadbin.data import Dataset, sample_dataset
 from quadbin.detect import analytic_three_bin_R, moment_matrix_from_moments, normally_ordered_moments
@@ -20,6 +22,7 @@ from quadbin.stats import (
     resample_values,
     significant,
     spread,
+    three_bin_cells,
     three_bin_statistic,
 )
 
@@ -50,10 +53,54 @@ class TestResampleValues:
     def test_returns_one_row_per_component_with_nan_kept(self):
         pool = np.arange(30, dtype=float)
         spec = BootstrapSpec(10, 6, 4, SUBSAMPLE)
-        values = resample_values(spec, [pool], [0], lambda x: [x[0], np.nan])
+        values = resample_values(spec, [pool.size], [0], lambda i: [pool[i][0], np.nan])
         assert values.shape == (2, 6)
         assert np.isnan(values[1]).all()
         assert np.array_equal(values[0], [pool[resample_indices(spec, 30, b)][0] for b in range(6)])
+
+
+# the bin size the pool's edges are placed at, then 1e200 (every ratio overflows or is undefined) and the
+# smallest subnormal, where x / sigma overflows to +-inf for every record but 0
+GRID_SIGMAS = (0.3, 1.0, 1.3)
+EXTREME_SIGMAS = (1e200, 5e-324)
+
+
+@st.composite
+def edge_pools(draw):
+    """A bin size and a pool of bin edges (k +- 1/2) sigma, their float neighbours, 0, +-1e200 and ties."""
+    sigma = draw(st.sampled_from(GRID_SIGMAS))
+    edges = [(k + 0.5) * sigma for k in range(-5, 5)]
+    values = edges + [np.nextafter(v, s) for v in edges for s in (-np.inf, np.inf)] + [0.0, 1e200, -1e200]
+    return sigma, np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=40)))
+
+
+class TestThreeBinCells:
+    """The count-cell ratios are bit for bit the per-record ratios of the same resamples."""
+
+    @settings(max_examples=200, deadline=None)
+    # every record in the centre bin: both side bins are empty
+    @example(pool=(1.0, np.zeros(7)), d=1, mode=SUBSAMPLE, size_frac=0.5, seed=0)
+    # no record in the centre bin
+    @example(pool=(1.0, np.array([-1.0, 1.0, -2.0, 2.0, 3.0])), d=2, mode=REPLACEMENT, size_frac=1.0, seed=1)
+    @given(
+        pool=edge_pools(),
+        d=st.sampled_from([1, 2, 3]),
+        mode=st.sampled_from([SUBSAMPLE, REPLACEMENT]),
+        size_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_per_record_statistic(self, pool, d, mode, size_frac, seed):
+        sigma, x = pool
+        sigmas = [sigma, *EXTREME_SIGMAS]
+        spec = BootstrapSpec(max(1, round(size_frac * x.size)), 8, seed, mode)
+        per_record = [three_bin_statistic(s, d) for s in sigmas]
+        with np.errstate(all="ignore"):
+            cells = resample_values(spec, [x.size], [0], three_bin_cells(x, sigmas, d))
+            reference = resample_values(spec, [x.size], [0], lambda i: [stat(x[i]) for stat in per_record])
+            whole = three_bin_cells(x, sigmas, d)(np.arange(x.size))
+            point = [stat(x) for stat in per_record]
+        assert np.array_equal(cells, reference, equal_nan=True)
+        assert np.array_equal(whole, point, equal_nan=True)
 
 
 class TestBootstrapResult:
@@ -72,19 +119,19 @@ class TestBootstrapResult:
 class TestBootstrap:
     def test_deterministic(self):
         spec = BootstrapSpec(5_000, 20, 123, SUBSAMPLE)
-        a = bootstrap(VACUUM_DATA, spec, three_bin_statistic(1.0, 1))
-        b = bootstrap(VACUUM_DATA, spec, three_bin_statistic(1.0, 1))
+        a = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
+        b = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
         assert a.mean == b.mean and a.std == b.std
         assert np.array_equal(a.samples, b.samples)
 
     def test_constant_statistic_has_zero_spread(self):
         spec = BootstrapSpec(100, 10, 0, REPLACEMENT)
-        res = bootstrap(VACUUM_DATA, spec, lambda x: 1.0)
+        res = bootstrap(VACUUM_DATA, spec, lambda i: 1.0)
         assert res.std == 0.0 and res.mean == 1.0
 
     def test_vacuum_ratio_sits_at_the_classical_boundary(self):
         spec = BootstrapSpec(10_000, 100, 7, REPLACEMENT)
-        res = bootstrap(VACUUM_DATA, spec, three_bin_statistic(1.0, 1))
+        res = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
         analytic = analytic_three_bin_R(QuadratureDistribution(StateParams(0.0, 0.0, 0.0)), 1.0, 1)
         assert abs(res.mean - 1.0) <= 3 * res.std
         assert abs(res.mean - analytic) <= 3 * res.std
@@ -94,7 +141,7 @@ class TestBootstrap:
         x = np.concatenate([np.zeros(200), [3.0]])
         data = Dataset(np.zeros_like(x), x)
         spec = BootstrapSpec(201, 50, 11, REPLACEMENT)
-        res = bootstrap(data, spec, three_bin_statistic(1.0, 3))
+        res = bootstrap(data, spec, three_bin_cells(data.x, [1.0], 3))
         assert 0 < res.n_flagged <= 50
         assert np.isfinite(res.mean)
 
@@ -102,7 +149,7 @@ class TestBootstrap:
         # quadrupling the resample size should halve the spread; the ratio is
         # averaged over repetitions since a single std of B values is noisy
         pool = sample_dataset(StateParams(0.5, 0.2, 0.2), 40_000, seed=70)
-        stat = three_bin_statistic(1.0, 1)
+        stat = three_bin_cells(pool.x, [1.0], 1)
         ratios = []
         for rep in range(10):
             small = bootstrap(pool, BootstrapSpec(10_000, 100, 700 + rep, REPLACEMENT), stat)
