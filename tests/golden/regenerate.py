@@ -2,23 +2,26 @@
 
     PYTHONPATH=src python3 tests/golden/regenerate.py [CASE_ID ...]
 
-Builds the inputs of cases.json in a temporary directory (``simulate`` runs
-with fixed seeds, or literal records), runs every case through
-``quadbin.cli.main`` there, and writes expected.json: per case the exit code,
-stdout, stderr and each output file, and the environment the outputs were
-made in. With case ids, only those cases are rewritten and the others keep
+Builds the inputs of cases.json in a temporary directory (``simulate`` or
+other CLI runs with fixed seeds, literal records, or a JSON config file), runs
+every case through ``quadbin.cli.main`` there, and writes expected.json: per
+case the exit code, stdout, stderr and each output file, and the environment
+the outputs were made in. An output a case lists under ``digests`` (a large
+record file) is stored as ``sha256:<hex>`` of its bytes instead of its text. With case ids, only those cases are rewritten and the others keep
 their recorded outputs. quadbin is imported from PYTHONPATH, so pointing it at
 another checkout's ``src`` records that checkout's outputs.
 
 tests/test_golden.py compares bytes when the environment matches the recorded
 one, and otherwise compares exit codes, integers and text exactly and floats
 within REL_TOL, or within ABS_TOL of a value that is zero up to rounding (the
-``estimate`` residuals are such values).
+``estimate`` residuals are such values). A digest can only be compared
+exactly, so outside the recorded environment only its presence is checked.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -35,6 +38,8 @@ EXPECTED = HERE / "expected.json"
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+
+DIGEST = "sha256:"
 
 # a decimal number as json.dumps, repr and the CSV tables write it; integers have no point and no exponent
 _NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
@@ -78,24 +83,35 @@ def run_cli(argv: list[str], workdir: Path) -> dict:
 
 
 def build_inputs(inputs: dict, workdir: Path) -> None:
-    """Write every input file: a ``simulate`` run, or (x, count) records at theta 0 without a sidecar."""
+    """Write every input file, in order: a ``simulate`` run, another CLI run (``cli``, e.g. ``inject`` of an
+    earlier input) writing to ``--out``, a ``json`` config object, or (x, count) records at theta 0 without a
+    sidecar."""
     for name, spec in inputs.items():
-        if "simulate" in spec:
-            result = run_cli(["simulate", *spec["simulate"], "--out", name], workdir)
+        if "simulate" in spec or "cli" in spec:
+            argv = ["simulate", *spec["simulate"]] if "simulate" in spec else spec["cli"]
+            result = run_cli([*argv, "--out", name], workdir)
             if result["exit_code"] != 0:
                 raise RuntimeError(f"input {name}: {result['stderr']}")
+        elif "json" in spec:
+            (workdir / name).write_text(json.dumps(spec["json"]), encoding="utf-8")
         else:
             lines = ["theta,x"] + [f"0.0,{float(x)!r}" for x, count in spec["records"] for _ in range(count)]
             (workdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_case(case: dict, workdir: Path) -> dict:
-    """The case's exit code, stdout, stderr and output files; the output files are removed afterwards."""
+    """The case's exit code, stdout, stderr and output files (text, or a digest for the names under ``digests``);
+    the output files are removed afterwards."""
     result = run_cli(case["argv"], workdir)
     files = {}
-    for name in case.get("outputs", []):
+    for name in case.get("outputs", []) + case.get("digests", []):
         path = workdir / name
-        files[name] = path.read_text(encoding="utf-8") if path.exists() else None
+        if not path.exists():
+            files[name] = None
+        elif name in case.get("digests", []):
+            files[name] = DIGEST + hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            files[name] = path.read_text(encoding="utf-8")
         path.unlink(missing_ok=True)
     return {**result, "files": files}
 
@@ -107,9 +123,12 @@ def _same_number(want: str, got: str) -> bool:
 
 
 def same_text(want: str | None, got: str | None) -> bool:
-    """True when the texts differ at most in their float numbers, each within REL_TOL or ABS_TOL."""
+    """True when the texts differ at most in their float numbers, each within REL_TOL or ABS_TOL; any two
+    digests count as the same."""
     if want is None or got is None:
         return want is got
+    if want.startswith(DIGEST) or got.startswith(DIGEST):
+        return want.startswith(DIGEST) and got.startswith(DIGEST)
     a, b = _NUMBER.split(want), _NUMBER.split(got)
     # split keeps the numbers at the odd positions
     return len(a) == len(b) and all(

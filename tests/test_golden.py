@@ -3,8 +3,9 @@
 The cases and their expected outputs live in tests/golden (see regenerate.py
 there). In the environment the outputs were recorded in, the comparison is
 byte for byte; in any other, exit codes, integers and text must match exactly
-and floats within regenerate.REL_TOL (or ABS_TOL near zero). The report header
-and each failure message name the mode.
+and floats within regenerate.REL_TOL (or ABS_TOL near zero), and a file recorded
+as a sha256 digest need only be present. The report header and each failure
+message name the mode.
 """
 
 import importlib.util
