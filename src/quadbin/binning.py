@@ -28,6 +28,12 @@ def bin_indices(x, sigma: float) -> np.ndarray:
 
 
 def histogram(x, sigma: float) -> dict[int, int]:
-    """Count of the outcomes ``x`` in each occupied bin of size ``sigma``, keyed by bin index."""
+    """Count of the outcomes ``x`` in each occupied bin of size ``sigma``, keyed by bin index.
+
+    A bin index that overflows float64 (x / sigma beyond about 1.8e308) has no integer key; ValueError.
+    """
     ms, cs = np.unique(bin_indices(x, sigma), return_counts=True)
+    overflow = ms[~np.isfinite(ms)]
+    if overflow.size:
+        raise ValueError(f"bin index of an outcome overflows to {float(overflow[0])!r} at bin size {sigma!r}")
     return {int(m): int(c) for m, c in zip(ms, cs)}

@@ -6,7 +6,8 @@ is declared once, in the OPTIONS table with its type, built-in default and help;
 the COMMANDS table lists each subcommand's options and default overrides. A
 --config JSON file gives option values as flag tokens placed before the explicit
 flags, so the one argparse parser converts and checks every value and a flag
-wins over the file. A command checks its options before it reads any input.
+wins over the file. A command checks its options, the bootstrap plan included,
+with the library's own rules before it reads any input.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure; a package
 error type carries its own, and an error writes one JSON object to stderr.
 """
@@ -21,7 +22,11 @@ from typing import Callable
 
 import numpy as np
 
+from .binning import check_bin_size
 from .data import (
+    check_injected_spread,
+    check_seed,
+    check_selection_window,
     inject_phase_noise,
     read_csv,
     sample_dataset,
@@ -29,7 +34,7 @@ from .data import (
     simulation_params,
     write_csv,
 )
-from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_moment_order
+from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_bin_distance, check_moment_order
 from .errors import EstimationError, QuadbinError, UndefinedStatisticError, UsageError
 from .estimate import (
     db_from_variance,
@@ -54,7 +59,6 @@ from .stats import (
     significant,
     spread,
     three_bin_cells,
-    three_bin_statistic,
 )
 
 EXIT_OK = 0
@@ -107,13 +111,8 @@ def _config_tokens(path: str, command: Command) -> list[str]:
     return tokens
 
 
-def _bootstrap_spec(resolved: dict, pool: int) -> BootstrapSpec:
-    if pool == 0:
-        raise UndefinedStatisticError("the input holds no records to resample")
-    size = resolved["resample_size"]
-    if size is None:
-        size = pool if resolved["mode"] == REPLACEMENT else max(1, pool // 4)
-    return BootstrapSpec(size, resolved["bootstrap"], resolved["seed"], resolved["mode"])
+def _bootstrap_spec(resolved: dict) -> BootstrapSpec:
+    return BootstrapSpec(resolved["resample_size"], resolved["bootstrap"], resolved["seed"], resolved["mode"])
 
 
 def _cell(value) -> str:
@@ -156,12 +155,12 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_three_bin(cfg: dict) -> dict:
-    sigma, d = cfg["sigma"], cfg["d"]
-    statistic = three_bin_statistic(sigma, d)
+    d, sigma = check_bin_distance(cfg["d"]), check_bin_size(cfg["sigma"])
+    spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
-    r_point = statistic(data.x)
-    boot = bootstrap(data, spec, three_bin_cells(data.x, [sigma], d))
+    ratio = three_bin_cells(data.x, [sigma], d)
+    r_point = ratio(np.arange(data.n))[0]
+    boot = bootstrap(data, spec, ratio)
     (report,) = significant([ViolationReport.of("three-bin", {"sigma": sigma, "d": d}, boot)])
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
@@ -185,12 +184,10 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
     steps = cfg["steps"]
     if steps < 1:
         raise UsageError("--steps must be >= 1")
-    sigmas = [float(s) for s in np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps)]
-    d = cfg["d"]
-    for s in sigmas:
-        three_bin_statistic(s, d)  # checks every bin width before the read
+    d = check_bin_distance(cfg["d"])
+    sigmas = [check_bin_size(float(s)) for s in np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps)]
+    spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
 
@@ -232,8 +229,8 @@ def cmd_moments(cfg: dict) -> dict:
     # the range is only built for a supported largest order
     orders = range(MIN_MOMENT_ORDER, check_moment_order(cfg["n_max"]) + 1)
     statistic = min_eigenvalue_statistic(*orders)
+    spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     lam = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
     rows = []
     for n, point, row in zip(orders, statistic(data.x), lam):
@@ -264,11 +261,11 @@ def _estimate_statistic(x: np.ndarray, p: np.ndarray) -> list[float]:
 
 
 def cmd_estimate(cfg: dict) -> dict:
+    spec = _bootstrap_spec(cfg)
     data_x = read_csv(cfg["in_x"])
     data_p = read_csv(cfg["in_p"])
     summary = summarize(data_x.x, data_p.x)
     params = estimate_params(summary)
-    spec = _bootstrap_spec(cfg, min(data_x.n, data_p.n))
     draws = resample_values(
         spec, [data_x.n, data_p.n], [1, 2], lambda ix, ip: _estimate_statistic(data_x.x[ix], data_p.x[ip])
     )
@@ -308,12 +305,12 @@ def cmd_ep(cfg: dict) -> dict:
 
 def cmd_compare(cfg: dict) -> dict:
     orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
-    # the statistics compare_methods builds, built here too so that every option is checked before the read
-    three_bin_statistic(cfg["sigma"], cfg["d"])
-    min_eigenvalue_statistic(*orders)
+    check_bin_distance(cfg["d"])
+    check_bin_size(cfg["sigma"])
+    min_eigenvalue_statistic(*orders)  # checks the orders as compare_methods will
     cutoff = check_cutoff(cfg["cutoff"])
+    spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    spec = _bootstrap_spec(cfg, data.n)
     reports = compare_methods(data, cfg["sigma"], cfg["d"], orders, spec)
     params = simulation_params(data.meta)
     ep = entanglement_potential(state_from_params(params, cutoff)) if params is not None else None
@@ -331,6 +328,8 @@ def cmd_compare(cfg: dict) -> dict:
 
 
 def cmd_inject(cfg: dict) -> dict:
+    check_injected_spread(cfg["delta_e"])
+    check_seed(cfg["seed"])
     data = read_csv(cfg["in_path"])
     noisy = inject_phase_noise(data, cfg["delta_e"], cfg["seed"])
     write_csv(noisy, cfg["out"])
@@ -338,6 +337,7 @@ def cmd_inject(cfg: dict) -> dict:
 
 
 def cmd_select(cfg: dict) -> dict:
+    check_selection_window(cfg["center"], cfg["half_width"])
     data = read_csv(cfg["in_path"])
     kept = select_phase_window(data, cfg["center"], cfg["half_width"])
     write_csv(kept, cfg["out"])

@@ -37,8 +37,11 @@ from .model import StateParams, rotated_variance
 
 __all__ = [
     "Dataset",
+    "check_seed",
     "sample_dataset",
+    "check_injected_spread",
     "inject_phase_noise",
+    "check_selection_window",
     "select_phase_window",
     "read_csv",
     "write_csv",
@@ -92,8 +95,15 @@ class Dataset:
         return f"Dataset(n={self.n}, source={self.meta.get('source', '?')!r})"
 
 
-def _rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(list(entropy))
+def check_seed(seed: int) -> int:
+    """``seed`` unchanged once it is a usable master seed; ValueError otherwise."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng([check_seed(seed)])
 
 
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -140,18 +150,24 @@ def sample_dataset(
     return Dataset(theta, x, meta)
 
 
+def check_injected_spread(delta_e: float) -> float:
+    """``delta_e`` unchanged once it is a usable phase-noise spread; ValueError otherwise."""
+    if delta_e < 0.0:
+        raise ValueError(f"injected spread must be >= 0, got {delta_e!r}")
+    if not np.isfinite(delta_e):
+        raise ValueError(f"injected spread must be finite, got {delta_e!r}")
+    return delta_e
+
+
 def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
     """Add independent N(0, delta_e^2) noise to every recorded phase.
 
     Outcomes are untouched. ``delta_e = 0`` returns the input unchanged.
     """
-    if delta_e < 0.0:
-        raise ValueError(f"injected spread must be >= 0, got {delta_e!r}")
-    if not np.isfinite(delta_e):
-        raise ValueError(f"injected spread must be finite, got {delta_e!r}")
+    check_injected_spread(delta_e)
+    rng = _rng(seed)
     if delta_e == 0.0:
         return data
-    rng = _rng(seed)
     theta = data.theta + delta_e * _standard_normal(rng, data.n)
     meta = {
         "source": "derived",
@@ -169,15 +185,20 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
 
 
+def check_selection_window(center: float, half_width: float) -> None:
+    """Nothing once (``center``, ``half_width``) is a usable phase window; ValueError otherwise."""
+    if not half_width > 0.0:
+        raise ValueError(f"window half-width must be positive, got {half_width!r}")
+    if not (np.isfinite(center) and np.isfinite(half_width)):
+        raise ValueError(f"window center and half-width must be finite, got {center!r} and {half_width!r}")
+
+
 def select_phase_window(data: Dataset, center: float, half_width: float) -> Dataset:
     """Keep records whose wrapped phase lies strictly within ``half_width`` of ``center``.
 
     Order is preserved. An empty result is allowed and flagged in the metadata.
     """
-    if not half_width > 0.0:
-        raise ValueError(f"window half-width must be positive, got {half_width!r}")
-    if not (np.isfinite(center) and np.isfinite(half_width)):
-        raise ValueError(f"window center and half-width must be finite, got {center!r} and {half_width!r}")
+    check_selection_window(center, half_width)
     keep = np.abs(_wrap_angle(data.theta - center)) < half_width
     meta = {
         "source": "derived",

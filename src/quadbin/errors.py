@@ -4,6 +4,10 @@ Each type carries the exit code the command line ends with when it is raised:
 1 usage error, 2 data error, 3 numeric failure.
 """
 
+__all__ = [
+    "QuadbinError", "UsageError", "CsvFormatError", "UndefinedStatisticError", "EstimationError", "EigensolverError",
+]
+
 
 class QuadbinError(Exception):
     """Base class for package errors."""

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .binning import bin_indices, check_bin_size
+from .data import check_seed
 from .detect import (
     CLASSICAL_LIMIT,
     check_bin_distance,
@@ -19,6 +20,8 @@ from .detect import (
 from .errors import UndefinedStatisticError
 
 __all__ = [
+    "SUBSAMPLE",
+    "REPLACEMENT",
     "BootstrapSpec",
     "BootstrapResult",
     "ViolationReport",
@@ -46,20 +49,29 @@ Statistic = Callable[..., float | list[float]]
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    """Resampling plan: size per resample, number of resamples, seeding, mode."""
+    """Resampling plan, checked before any pool is known: size per resample (None: ``sized`` sets it), number of
+    resamples, seeding, mode."""
 
-    resample_size: int
+    resample_size: int | None
     n_resamples: int
     master_seed: int
     mode: str = SUBSAMPLE
 
     def __post_init__(self):
-        if self.resample_size < 1:
+        if self.resample_size is not None and self.resample_size < 1:
             raise ValueError("resample size must be >= 1")
         if self.n_resamples < 2:
             raise ValueError("need at least two resamples")
         if self.mode not in (SUBSAMPLE, REPLACEMENT):
             raise ValueError(f"unknown mode {self.mode!r}")
+        check_seed(self.master_seed)
+
+    def sized(self, pool: int) -> BootstrapSpec:
+        """The plan for ``pool`` records; the default size is the whole pool with replacement, else a quarter (>= 1)."""
+        if pool == 0:
+            raise UndefinedStatisticError("the input holds no records to resample")
+        default = pool if self.mode == REPLACEMENT else max(1, pool // 4)
+        return self if self.resample_size is not None else replace(self, resample_size=default)
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,7 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
 
     Independent of evaluation order, so any resample can be rebuilt on its own.
     """
+    spec = spec.sized(pool_size)
     if spec.mode == SUBSAMPLE and pool_size < spec.resample_size:
         raise ValueError(f"pool of {pool_size} cannot supply {spec.resample_size} without replacement")
     rng = np.random.default_rng([spec.master_seed, stream, b])
@@ -129,10 +142,12 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
 def resample_values(spec: BootstrapSpec, sizes, streams, statistic: Statistic) -> np.ndarray:
     """Evaluate ``statistic`` on ``n_resamples`` paired resamples of pools of the given ``sizes``.
 
-    Resample ``b`` draws one index set per pool from that pool's stream, and
-    the statistic gets those index sets. Returns the values as a (k, B) array,
-    one contiguous row per component, NaN entries included.
+    Resample ``b`` draws one index set per pool from that pool's stream, all
+    of the size the smallest pool sets (``BootstrapSpec.sized``), and the
+    statistic gets those index sets. Returns the values as a (k, B) array, one
+    contiguous row per component, NaN entries included.
     """
+    spec = spec.sized(min(sizes))
     values = None
     for b in range(spec.n_resamples):
         value = statistic(*(resample_indices(spec, n, b, s) for n, s in zip(sizes, streams)))
@@ -152,10 +167,11 @@ def bootstrap(data, spec: BootstrapSpec, statistic: Statistic) -> BootstrapResul
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
-    """Binned ratio statistic at fixed (sigma, d): the point value on the whole input and each resample's value.
+    """Binned ratio of outcome values at fixed (sigma, d), counted record by record.
 
-    An input with an empty centre or side bin has no ratio and gives NaN.
-    Both options are checked here, before any resample is drawn.
+    The library's point-value API, and the reference that ``three_bin_cells``
+    matches bit for bit. An input with an empty centre or side bin has no
+    ratio and gives NaN. Both options are checked when the statistic is built.
     """
     check_bin_distance(d)
     check_bin_size(sigma)

@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python3 tests/golden/regenerate.py [CASE_ID ...]
 
-Builds the inputs of cases.json in a temporary directory (``simulate`` or
-other CLI runs with fixed seeds, literal records, or a JSON config file), runs
+Builds the inputs of cases.json in a temporary directory (CLI runs such as
+``simulate`` with fixed seeds, literal records, or a JSON config file), runs
 every case through ``quadbin.cli.main`` there, and writes expected.json: per
 case the exit code, stdout, stderr and each output file, and the environment
 the outputs were made in. An output a case lists under ``digests`` (a large
-record file) is stored as ``sha256:<hex>`` of its bytes instead of its text. With case ids, only those cases are rewritten and the others keep
-their recorded outputs. quadbin is imported from PYTHONPATH, so pointing it at
+record file) is stored as ``sha256:<hex>`` of its bytes instead of its text.
+With case ids, only those cases are rewritten and the others keep their
+recorded outputs. quadbin is imported from PYTHONPATH, so pointing it at
 another checkout's ``src`` records that checkout's outputs.
 
 tests/test_golden.py compares bytes when the environment matches the recorded
@@ -83,13 +84,11 @@ def run_cli(argv: list[str], workdir: Path) -> dict:
 
 
 def build_inputs(inputs: dict, workdir: Path) -> None:
-    """Write every input file, in order: a ``simulate`` run, another CLI run (``cli``, e.g. ``inject`` of an
-    earlier input) writing to ``--out``, a ``json`` config object, or (x, count) records at theta 0 without a
-    sidecar."""
+    """Write every input file, in order: a CLI run writing to ``--out`` (``simulate``, or ``inject`` of an
+    earlier input), a ``json`` config object, or (x, count) records at theta 0 without a sidecar."""
     for name, spec in inputs.items():
-        if "simulate" in spec or "cli" in spec:
-            argv = ["simulate", *spec["simulate"]] if "simulate" in spec else spec["cli"]
-            result = run_cli([*argv, "--out", name], workdir)
+        if "cli" in spec:
+            result = run_cli([*spec["cli"], "--out", name], workdir)
             if result["exit_code"] != 0:
                 raise RuntimeError(f"input {name}: {result['stderr']}")
         elif "json" in spec:

@@ -68,6 +68,12 @@ class TestHistogram:
         for m, count in h.items():
             assert count == int(np.sum(bin_indices(x, 0.5) == m))
 
+    @pytest.mark.parametrize("x, index", [(1e308, "inf"), (-1e308, "-inf")])
+    def test_overflowing_bin_index_is_named(self, x, index):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            histogram([x, 0.0], 1e-10)
+        assert str(err.value) == f"bin index of an outcome overflows to {index} at bin size 1e-10"
+
     def test_multinomial_convergence(self):
         # empirical frequencies track the model bin masses on random states
         rng = np.random.default_rng(42)

@@ -327,6 +327,9 @@ class TestDegenerateInput:
             (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [1e100, -1e100, 0.0], "b": [1.0, -1.0, 2.0]}, 2),
             # heavy-tailed x (kurtosis 4.5) passes every check before the variance sum overflows
             (["estimate", "--in-x", "{a}", "--in-p", "{b}"], {"a": [-3.0, 3.0] + [0.0] * 7, "b": [1e80, -1e80] * 4}, 3),
+            # the bootstrap plan is checked before the read, so a bad one wins over a failing inversion
+            (["estimate", "--in-x", "{a}", "--in-p", "{b}", "--bootstrap", "1"],
+             {"a": NORMAL, "b": [0.1, -0.1, 0.2]}, 1),
             # overflowing moments are a data error, as they are for estimate, before any eigensolve
             (["moments", "--in", "{a}"], {"a": HUGE}, 2),
             (["moments", "--in", "{a}", "--n-max", "2", "--bootstrap", "5"], {"a": HUGE[:4]}, 2),
@@ -360,7 +363,8 @@ class TestDegenerateInput:
         ids=[
             "sweep-no-records", "moments-no-records", "compare-no-records", "estimate-one-record",
             "estimate-constant", "estimate-moment-overflow", "estimate-kurtosis-overflow",
-            "estimate-variance-sum-overflow", "moments-eigensolve-fails", "moments-order-2-nan-eigenpair",
+            "estimate-variance-sum-overflow", "estimate-bad-plan-before-failed-inversion", "moments-eigensolve-fails",
+            "moments-order-2-nan-eigenpair",
             "compare-moment-overflow", "resample-larger-than-pool", "sweep-d-zero", "sweep-d-negative", "compare-d-zero", "compare-d-negative",
             "three-bin-sigma-inf", "compare-sigma-inf", "three-bin-empty-central-bin", "moments-n-max-one",
             "moments-n-max-nine", "compare-n-list-nine", "moments-n-max-huge", "compare-n-list-huge",
@@ -380,6 +384,13 @@ class TestDegenerateInput:
         assert got == code and err["error"]["exit_code"] == code
 
 
+BOOTSTRAP_RULES = [
+    ("--bootstrap", "1", "need at least two resamples"),
+    ("--resample-size", "0", "resample size must be >= 1"),
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+]
+
+
 class TestOptionsCheckedBeforeRead:
     """A bad option value fails with its rule's message although the input file does not exist."""
 
@@ -397,15 +408,33 @@ class TestOptionsCheckedBeforeRead:
             (["compare", "--sigma", "inf"], "bin size must be positive and finite, got inf"),
             (["compare", "--d", "0"], "bin distance must be a positive integer, got 0"),
             (["compare", "--cutoff", "100000"], "Fock cutoff must lie in [0, 60], got 100000"),
+            (["inject", "--delta-e", "-1"], "injected spread must be >= 0, got -1.0"),
+            (["inject", "--delta-e", "0.3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["select", "--half-width", "0"], "window half-width must be positive, got 0.0"),
+            (["select", "--center", "inf", "--half-width", "0.1"],
+             "window center and half-width must be finite, got inf and 0.1"),
+            *(
+                ([command, flag, value], message)
+                for command in ("three-bin", "sweep-sigma", "moments", "compare", "estimate")
+                for flag, value, message in BOOTSTRAP_RULES
+            ),
         ],
         ids=[
             "three-bin-sigma", "three-bin-d", "sweep-steps", "sweep-sigma-from", "sweep-d", "moments-n-max",
             "compare-n-list", "compare-n-list-empty", "compare-sigma", "compare-d", "compare-cutoff",
+            "inject-delta-e", "inject-seed", "select-half-width", "select-center",
+            *(
+                f"{command}{flag}"
+                for command in ("three-bin", "sweep-sigma", "moments", "compare", "estimate")
+                for flag, _, _ in BOOTSTRAP_RULES
+            ),
         ],
     )
     def test_bad_option_fails_before_the_missing_input(self, capsys, tmp_path, argv, message):
-        out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep-sigma" else []
-        code, _, err = run(capsys, *argv, "--in", str(tmp_path / "missing.csv"), *out)
+        missing = str(tmp_path / "missing.csv")
+        inputs = ["--in-x", missing, "--in-p", missing] if argv[0] == "estimate" else ["--in", missing]
+        out = ["--out", str(tmp_path / "out.csv")] if argv[0] in ("sweep-sigma", "inject", "select") else []
+        code, _, err = run(capsys, *argv, *inputs, *out)
         assert code == 1 and err["error"]["exit_code"] == 1
         assert err["error"]["message"] == message
 

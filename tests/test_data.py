@@ -6,6 +6,8 @@ from scipy import stats as sps
 
 from quadbin.data import (
     Dataset,
+    check_injected_spread,
+    check_selection_window,
     inject_phase_noise,
     read_csv,
     sample_dataset,
@@ -91,6 +93,10 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_dataset(StateParams(0.1, 0.0, 0.0), 0, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            sample_dataset(StateParams(0.1, 0.0, 0.0), 10, seed=-1)
+
     def test_metadata(self):
         p = StateParams(0.3, 0.2, 0.1)
         d = sample_dataset(p, 10, seed=3)
@@ -121,6 +127,17 @@ class TestInject:
         # an empty dataset has no record that would turn non-finite and trip the Dataset check
         with pytest.raises(ValueError, match="finite"):
             inject_phase_noise(Dataset([], []), delta_e, seed=1)
+
+    def test_spread_rule_is_the_one_inject_raises(self):
+        assert check_injected_spread(0.3) == 0.3
+        with pytest.raises(ValueError, match=r"^injected spread must be >= 0, got -1.0$"):
+            check_injected_spread(-1.0)
+        with pytest.raises(ValueError, match=r"^injected spread must be >= 0, got -1.0$"):
+            inject_phase_noise(Dataset([0.0], [1.0]), -1.0, seed=1)
+
+    def test_rejects_negative_seed_even_without_noise(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            inject_phase_noise(Dataset([0.0], [1.0]), 0.0, seed=-1)
 
 
 class TestSelect:
@@ -159,6 +176,14 @@ class TestSelect:
         d = Dataset([0.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             select_phase_window(d, center, half_width)
+
+    def test_window_rule_is_the_one_select_raises(self):
+        check_selection_window(0.0, 0.1)
+        message = r"^window half-width must be positive, got 0.0$"
+        with pytest.raises(ValueError, match=message):
+            check_selection_window(0.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            select_phase_window(Dataset([0.0], [1.0]), 0.0, 0.0)
 
     def test_scan_selection_recovers_p_quadrature(self):
         p = StateParams(0.6, 0.2, 0.15)

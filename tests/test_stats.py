@@ -48,6 +48,33 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             resample_indices(spec, 50, 0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 5, 0), "resample size must be >= 1"),
+            ((None, 1, 0), "need at least two resamples"),
+            ((None, 5, -1), "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_every_field_is_checked_without_a_pool(self, args, message):
+        with pytest.raises(ValueError) as err:
+            BootstrapSpec(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "size, mode, pool, want",
+        [(None, REPLACEMENT, 10, 10), (None, SUBSAMPLE, 10, 2), (None, SUBSAMPLE, 3, 1), (7, SUBSAMPLE, 10, 7)],
+    )
+    def test_sized_sets_the_default_for_the_pool(self, size, mode, pool, want):
+        spec = BootstrapSpec(size, 5, 0, mode)
+        assert spec.sized(pool) == BootstrapSpec(want, 5, 0, mode)
+        assert resample_indices(spec, pool, 0).size == want
+
+    @pytest.mark.parametrize("size", [None, 4])
+    def test_empty_pool_has_nothing_to_resample(self, size):
+        with pytest.raises(UndefinedStatisticError, match="^the input holds no records to resample$"):
+            BootstrapSpec(size, 5, 0).sized(0)
+
 
 class TestResampleValues:
     def test_returns_one_row_per_component_with_nan_kept(self):
@@ -57,6 +84,12 @@ class TestResampleValues:
         assert values.shape == (2, 6)
         assert np.isnan(values[1]).all()
         assert np.array_equal(values[0], [pool[resample_indices(spec, 30, b)][0] for b in range(6)])
+
+    def test_default_size_is_set_by_the_smallest_pool(self):
+        spec = BootstrapSpec(None, 3, 2, REPLACEMENT)
+        values = resample_values(spec, [40, 12], [1, 2], lambda i, j: [i.size, j.size, j.max()])
+        assert values[:2].tolist() == [[12] * 3] * 2
+        assert (values[2] < 12).all()
 
 
 # the bin size the pool's edges are placed at, then 1e200 (every ratio overflows or is undefined) and the
