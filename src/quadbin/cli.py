@@ -2,12 +2,12 @@
 
 Results go to stdout as a single JSON object; bulk tables go to CSV files.
 Every run echoes its fully resolved configuration into the output. Every option
-is declared once, in the OPTIONS table with its type, built-in default and help;
-the COMMANDS table lists each subcommand's options and default overrides. A
---config JSON file gives option values as flag tokens placed before the explicit
-flags, so the one argparse parser converts and checks every value and a flag
-wins over the file. A command checks its options, the bootstrap plan included,
-with the library's own rules before it reads any input.
+is declared once, in the OPTIONS table: type, default, help and the library rule
+its value must pass, if any. COMMANDS lists each subcommand's options and default
+overrides. --config values become flag tokens before the explicit flags, so one
+argparse parser converts and checks every value, and a flag wins over the file.
+main runs every option rule before a command reads input; a command checks only
+the bootstrap plan, the phase window, --steps and --n-list, before its read.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure; a package
 error type carries its own, and an error writes one JSON object to stderr.
 """
@@ -155,7 +155,7 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_three_bin(cfg: dict) -> dict:
-    d, sigma = check_bin_distance(cfg["d"]), check_bin_size(cfg["sigma"])
+    d, sigma = cfg["d"], cfg["sigma"]
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     ratio = three_bin_cells(data.x, [sigma], d)
@@ -184,8 +184,8 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
     steps = cfg["steps"]
     if steps < 1:
         raise UsageError("--steps must be >= 1")
-    d = check_bin_distance(cfg["d"])
-    sigmas = [check_bin_size(float(s)) for s in np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps)]
+    d = cfg["d"]
+    sigmas = np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps).tolist()
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     params = simulation_params(data.meta)
@@ -226,8 +226,7 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
 
 def cmd_moments(cfg: dict) -> dict:
-    # the range is only built for a supported largest order
-    orders = range(MIN_MOMENT_ORDER, check_moment_order(cfg["n_max"]) + 1)
+    orders = range(MIN_MOMENT_ORDER, cfg["n_max"] + 1)
     statistic = min_eigenvalue_statistic(*orders)
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
@@ -305,15 +304,12 @@ def cmd_ep(cfg: dict) -> dict:
 
 def cmd_compare(cfg: dict) -> dict:
     orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
-    check_bin_distance(cfg["d"])
-    check_bin_size(cfg["sigma"])
     min_eigenvalue_statistic(*orders)  # checks the orders as compare_methods will
-    cutoff = check_cutoff(cfg["cutoff"])
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     reports = compare_methods(data, cfg["sigma"], cfg["d"], orders, spec)
     params = simulation_params(data.meta)
-    ep = entanglement_potential(state_from_params(params, cutoff)) if params is not None else None
+    ep = entanglement_potential(state_from_params(params, cfg["cutoff"])) if params is not None else None
     if cfg["out"]:
         columns = ["method", "sigma", "d", "n", "mean", "std", "v", "n_flagged"]
         _write_table(cfg["out"], columns, ({**rep.params, **rep.to_json_dict()} for rep in reports))
@@ -328,8 +324,6 @@ def cmd_compare(cfg: dict) -> dict:
 
 
 def cmd_inject(cfg: dict) -> dict:
-    check_injected_spread(cfg["delta_e"])
-    check_seed(cfg["seed"])
     data = read_csv(cfg["in_path"])
     noisy = inject_phase_noise(data, cfg["delta_e"], cfg["seed"])
     write_csv(noisy, cfg["out"])
@@ -352,7 +346,7 @@ def cmd_select(cfg: dict) -> dict:
 
 # ---------------------------------------------------------------- option table
 
-# key: (argparse type, or a tuple of choices; built-in default; help)
+# key: (argparse type, or a tuple of choices; built-in default; help[; the library rule the value must pass])
 OPTIONS = {
     "in_path": (str, None, "input CSV"),
     "in_x": (str, None, "squeezing-axis (x) input CSV"),
@@ -360,21 +354,21 @@ OPTIONS = {
     "out": (str, None, "CSV output path"),
     "r": (float, None, "squeezing parameter"),
     "target_db": (float, None, "target squeezing-axis variance in dB"),
-    "loss": (float, 0.0, "loss fraction in [0, 1)"),
+    "loss": (float, 0.0, "loss fraction in [0, 1]; below 1 with --target-db"),
     "delta": (float, 0.0, "phase-diffusion spread (rad)"),
     "n": (int, 10_000, "number of records"),
-    "seed": (int, 0, "master seed"),
+    "seed": (int, 0, "master seed", check_seed),
     "phase_window": (float, 0.0, "half-width of a uniform phase scan (rad)"),
     "center": (float, 0.0, "nominal measurement phase (rad)"),
-    "sigma": (float, 1.0, "bin width"),
-    "d": (int, 1, "bin distance"),
-    "sigma_from": (float, 0.2, "first bin width of the sweep"),
-    "sigma_to": (float, 3.0, "last bin width of the sweep"),
+    "sigma": (float, 1.0, "bin width", check_bin_size),
+    "d": (int, 1, "bin distance", check_bin_distance),
+    "sigma_from": (float, 0.2, "first bin width of the sweep", check_bin_size),
+    "sigma_to": (float, 3.0, "last bin width of the sweep", check_bin_size),
     "steps": (int, 15, "number of bin widths in the sweep"),
-    "n_max": (int, 6, "largest moment-matrix order"),
+    "n_max": (int, 6, "largest moment-matrix order", check_moment_order),
     "n_list": (str, "2,3,4,5,6", "comma-separated moment orders"),
-    "cutoff": (int, DEFAULT_CUTOFF, "Fock-space cutoff"),
-    "delta_e": (float, None, "spread of the added phase noise (rad)"),
+    "cutoff": (int, DEFAULT_CUTOFF, "Fock-space cutoff", check_cutoff),
+    "delta_e": (float, None, "spread of the added phase noise (rad)", check_injected_spread),
     "half_width": (float, None, "half-width of the kept phase window (rad)"),
     "bootstrap": (int, 100, "number of resamples B"),
     "resample_size": (int, None, "records per resample"),
@@ -405,13 +399,13 @@ COMMANDS = {
     "three-bin": Command(
         cmd_three_bin,
         "binned ratio test with bootstrap errors",
-        ("in_path", "sigma", "d", *BOOTSTRAP_OPTIONS),
+        ("in_path", "d", "sigma", *BOOTSTRAP_OPTIONS),
         ("in_path",),
     ),
     "sweep-sigma": Command(
         cmd_sweep_sigma,
         "bin-size sweep of the ratio test",
-        ("in_path", "sigma_from", "sigma_to", "steps", "d", "out", *BOOTSTRAP_OPTIONS),
+        ("in_path", "steps", "d", "sigma_from", "sigma_to", "out", *BOOTSTRAP_OPTIONS),
         ("in_path", "out"),
     ),
     "moments": Command(
@@ -431,7 +425,7 @@ COMMANDS = {
     "compare": Command(
         cmd_compare,
         "paired bin-test vs moment-method comparison",
-        ("in_path", "sigma", "d", "n_list", "cutoff", "out", *BOOTSTRAP_OPTIONS),
+        ("in_path", "d", "sigma", "n_list", "cutoff", "out", *BOOTSTRAP_OPTIONS),
         ("in_path",),
     ),
     "inject": Command(
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for key in command.options:
-            kind, default, text = OPTIONS[key]
+            kind, default, text = OPTIONS[key][:3]
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             sub.add_argument(_flag(key), dest=key, default=command.defaults.get(key, default), help=text, **typed)
         sub.add_argument("--config", help="JSON file with option values; explicit flags win")
@@ -481,6 +475,9 @@ def main(argv=None) -> int:
         missing = [key for key in command.required if cfg[key] is None]
         if missing:
             raise UsageError("missing required option(s): " + ", ".join(_flag(k) for k in missing))
+        for key in command.options:  # each option's library rule, if it has one, in option order
+            if len(OPTIONS[key]) > 3 and cfg[key] is not None:
+                OPTIONS[key][3](cfg[key])
         # the echo is the dict the command ran with, so simulate's resolved r shows up;
         # floating-point warnings stay off stderr, which holds at most the one JSON error
         with np.errstate(all="ignore"):

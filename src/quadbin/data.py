@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -54,14 +55,17 @@ RNG_TAG = "pcg64/inverse-cdf"
 CSV_HEADER = "theta,x"
 
 
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable ordered collection of (theta, x) records plus provenance metadata."""
 
-    __slots__ = ("theta", "x", "meta")
+    theta: np.ndarray
+    x: np.ndarray
+    meta: Mapping | None = None
 
-    def __init__(self, theta, x, meta: Mapping | None = None):
-        theta = np.array(theta, dtype=float)
-        x = np.array(x, dtype=float)
+    def __post_init__(self):
+        theta = np.array(self.theta, dtype=float)
+        x = np.array(self.x, dtype=float)
         if theta.ndim != 1 or x.ndim != 1 or theta.shape != x.shape:
             raise ValueError("theta and x must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(x))):
@@ -70,13 +74,7 @@ class Dataset:
         x.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "meta", MappingProxyType(dict(meta or {})))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dataset is immutable")
-
-    def __len__(self) -> int:
-        return self.x.size
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta or {})))
 
     @property
     def n(self) -> int:
@@ -90,9 +88,6 @@ class Dataset:
             and np.array_equal(self.x, other.x)
             and dict(self.meta) == dict(other.meta)
         )
-
-    def __repr__(self) -> str:
-        return f"Dataset(n={self.n}, source={self.meta.get('source', '?')!r})"
 
 
 def check_seed(seed: int) -> int:
@@ -162,13 +157,17 @@ def check_injected_spread(delta_e: float) -> float:
 def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
     """Add independent N(0, delta_e^2) noise to every recorded phase.
 
-    Outcomes are untouched. ``delta_e = 0`` returns the input unchanged.
+    Outcomes are untouched. ``delta_e = 0`` returns the input unchanged. A
+    spread so large that a noisy phase overflows float64 is a ValueError.
     """
     check_injected_spread(delta_e)
     rng = _rng(seed)
     if delta_e == 0.0:
         return data
-    theta = data.theta + delta_e * _standard_normal(rng, data.n)
+    with np.errstate(over="ignore"):
+        theta = data.theta + delta_e * _standard_normal(rng, data.n)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"injected spread {delta_e!r} makes a recorded phase overflow to a non-finite value")
     meta = {
         "source": "derived",
         "operation": "inject_phase_noise",

@@ -145,9 +145,6 @@ class QuadratureDistribution:
         theta = np.sqrt(2.0) * self.params.delta * t + offset
         return rotated_variance(self.params, theta), w
 
-    def variance(self) -> float:
-        return diffused_variance(self.params, self.axis)
-
     def pdf(self, x):
         """Probability density at ``x`` (scalar or array)."""
         v, w = self._node_variances()

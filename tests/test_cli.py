@@ -15,11 +15,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadbin
-from quadbin.cli import main
-from quadbin.data import Dataset, inject_phase_noise, read_csv, sample_dataset, select_phase_window, write_csv
-from quadbin.detect import moment_matrix_from_moments, normally_ordered_moments
+from quadbin.binning import check_bin_size
+from quadbin.cli import COMMANDS, OPTIONS, _flag, main
+from quadbin.data import (
+    Dataset,
+    check_injected_spread,
+    check_seed,
+    inject_phase_noise,
+    read_csv,
+    sample_dataset,
+    select_phase_window,
+    write_csv,
+)
+from quadbin.detect import check_bin_distance, check_moment_order, moment_matrix_from_moments, normally_ordered_moments
 from quadbin.errors import EstimationError
 from quadbin.estimate import db_from_variance, estimate_params, params_from_variances, summarize
+from quadbin.fock import check_cutoff
 from quadbin.model import StateParams
 from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices, three_bin_statistic
 
@@ -384,11 +395,36 @@ class TestDegenerateInput:
         assert got == code and err["error"]["exit_code"] == code
 
 
+# values that each rule named in the cli.OPTIONS table rejects, with the rule's own message
+REJECTED = {
+    check_seed: [("-1", "seed must be a non-negative integer, got -1")],
+    check_bin_distance: [("0", "bin distance must be a positive integer, got 0")],
+    check_bin_size: [("inf", "bin size must be positive and finite, got inf"),
+                     ("-1", "bin size must be positive and finite, got -1.0")],
+    check_moment_order: [("9", "matrix order must lie in [2, 8], got 9")],
+    check_cutoff: [("100000", "Fock cutoff must lie in [0, 60], got 100000")],
+    check_injected_spread: [("-1", "injected spread must be >= 0, got -1.0"),
+                            ("inf", "injected spread must be finite, got inf")],
+}
+
+# the bootstrap plan's own rules, checked inside each command that resamples
 BOOTSTRAP_RULES = [
     ("--bootstrap", "1", "need at least two resamples"),
     ("--resample-size", "0", "resample size must be >= 1"),
-    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
 ]
+
+
+def _rejected_rows():
+    """One row per command that reads input, option of it that names a rule, and value that rule rejects;
+    then each plan rule of each command that resamples."""
+    for name, command in COMMANDS.items():
+        if "in_path" in command.options or "in_x" in command.options:
+            for key in command.options:
+                for value, message in REJECTED[OPTIONS[key][3]] if len(OPTIONS[key]) > 3 else []:
+                    yield pytest.param([name, _flag(key), value], message, id=f"{name} {_flag(key)} {value}")
+        if "bootstrap" in command.options:
+            for flag, value, message in BOOTSTRAP_RULES:
+                yield pytest.param([name, flag, value], message, id=f"{name} {flag} {value}")
 
 
 class TestOptionsCheckedBeforeRead:
@@ -397,44 +433,23 @@ class TestOptionsCheckedBeforeRead:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["three-bin", "--sigma", "inf"], "bin size must be positive and finite, got inf"),
-            (["three-bin", "--d", "0"], "bin distance must be a positive integer, got 0"),
-            (["sweep-sigma", "--steps", "0"], "--steps must be >= 1"),
-            (["sweep-sigma", "--sigma-from", "-1", "--steps", "3"], "bin size must be positive and finite, got -1.0"),
-            (["sweep-sigma", "--d", "0"], "bin distance must be a positive integer, got 0"),
-            (["moments", "--n-max", "9"], "matrix order must lie in [2, 8], got 9"),
-            (["compare", "--n-list", "2,9"], "matrix order must lie in [2, 8], got 9"),
-            (["compare", "--n-list", ","], "need at least one moment order"),
-            (["compare", "--sigma", "inf"], "bin size must be positive and finite, got inf"),
-            (["compare", "--d", "0"], "bin distance must be a positive integer, got 0"),
-            (["compare", "--cutoff", "100000"], "Fock cutoff must lie in [0, 60], got 100000"),
-            (["inject", "--delta-e", "-1"], "injected spread must be >= 0, got -1.0"),
-            (["inject", "--delta-e", "0.3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
-            (["select", "--half-width", "0"], "window half-width must be positive, got 0.0"),
-            (["select", "--center", "inf", "--half-width", "0.1"],
-             "window center and half-width must be finite, got inf and 0.1"),
-            *(
-                ([command, flag, value], message)
-                for command in ("three-bin", "sweep-sigma", "moments", "compare", "estimate")
-                for flag, value, message in BOOTSTRAP_RULES
-            ),
-        ],
-        ids=[
-            "three-bin-sigma", "three-bin-d", "sweep-steps", "sweep-sigma-from", "sweep-d", "moments-n-max",
-            "compare-n-list", "compare-n-list-empty", "compare-sigma", "compare-d", "compare-cutoff",
-            "inject-delta-e", "inject-seed", "select-half-width", "select-center",
-            *(
-                f"{command}{flag}"
-                for command in ("three-bin", "sweep-sigma", "moments", "compare", "estimate")
-                for flag, _, _ in BOOTSTRAP_RULES
-            ),
+            pytest.param(["sweep-sigma", "--steps", "0"], "--steps must be >= 1", id="sweep-steps"),
+            pytest.param(["compare", "--n-list", "2,9"], "matrix order must lie in [2, 8], got 9", id="compare-n-list"),
+            pytest.param(["compare", "--n-list", ","], "need at least one moment order", id="compare-n-list-empty"),
+            pytest.param(["select", "--half-width", "0"], "window half-width must be positive, got 0.0",
+                         id="select-half-width"),
+            pytest.param(["select", "--center", "inf", "--half-width", "0.1"],
+                         "window center and half-width must be finite, got inf and 0.1", id="select-center"),
+            *_rejected_rows(),
         ],
     )
     def test_bad_option_fails_before_the_missing_input(self, capsys, tmp_path, argv, message):
         missing = str(tmp_path / "missing.csv")
-        inputs = ["--in-x", missing, "--in-p", missing] if argv[0] == "estimate" else ["--in", missing]
-        out = ["--out", str(tmp_path / "out.csv")] if argv[0] in ("sweep-sigma", "inject", "select") else []
-        code, _, err = run(capsys, *argv, *inputs, *out)
+        given = {"in_path": missing, "in_x": missing, "in_p": missing, "out": str(tmp_path / "out.csv"),
+                 "delta_e": "0.3", "half_width": "0.1"}
+        # the row's own flags come last, and argparse keeps the last value of a flag
+        required = [tok for key in COMMANDS[argv[0]].required for tok in (_flag(key), given[key])]
+        code, _, err = run(capsys, argv[0], *required, *argv[1:])
         assert code == 1 and err["error"]["exit_code"] == 1
         assert err["error"]["message"] == message
 

@@ -1,5 +1,7 @@
 """Dataset tests: sampler fidelity, injection/selection pipeline, CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -134,6 +136,15 @@ class TestInject:
             check_injected_spread(-1.0)
         with pytest.raises(ValueError, match=r"^injected spread must be >= 0, got -1.0$"):
             inject_phase_noise(Dataset([0.0], [1.0]), -1.0, seed=1)
+
+    def test_overflowing_spread_names_itself(self):
+        # a thousand normal deviates hold some beyond 1.8 in size, so a spread of 1e308 overflows float64
+        d = Dataset(np.zeros(1000), np.zeros(1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^injected spread 1e\+308 makes a recorded phase overflow"):
+                inject_phase_noise(d, 1e308, seed=1)
+        assert np.all(np.isfinite(inject_phase_noise(d, 1e306, seed=1).theta))
 
     def test_rejects_negative_seed_even_without_noise(self):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):

@@ -168,8 +168,7 @@ class TestPdf:
 
     def test_p_axis_uses_rotated_variance(self):
         p = StateParams(0.5, 0.0, 0.0)
-        dist = QuadratureDistribution(p, "p")
-        assert dist.variance() == pytest.approx(np.exp(1.0), rel=1e-12)
+        assert diffused_variance(p, "p") == pytest.approx(np.exp(1.0), rel=1e-12)
 
 
 class TestBinProbability:
