@@ -303,7 +303,10 @@ def cmd_ep(cfg: dict) -> dict:
 
 
 def cmd_compare(cfg: dict) -> dict:
-    orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
+    try:
+        orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"--n-list expects comma-separated integers, got {cfg['n_list']!r}") from None
     min_eigenvalue_statistic(*orders)  # checks the orders as compare_methods will
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])

@@ -31,7 +31,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import CsvFormatError
 from .model import StateParams, rotated_variance
@@ -102,6 +101,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    from scipy.special import ndtri  # imported here: scipy.special costs every other CLI process 0.3 s
+
     # inverse-CDF transform of uniforms; clip away u = 0 so it stays finite
     u = np.clip(rng.random(size), 2.0**-53, None)
     return ndtri(u)
@@ -254,15 +255,43 @@ def read_csv(path) -> Dataset:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         line = exc.object[: exc.start].count(b"\n") + 1
         raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
-    thetas = np.empty(len(lines) - 1)
-    xs = np.empty(len(lines) - 1)
-    for i, line in enumerate(lines[1:], start=2):
+    thetas, xs = _vectorized_columns(text, lines[1:]) or _line_columns(path, lines[1:])
+    return Dataset(thetas, xs, _read_sidecar(path))
+
+
+def _vectorized_columns(text: str, body: list[str]):
+    """Both columns of ``body`` from one np.loadtxt call, or None where the line loop must read it.
+
+    loadtxt skips empty lines and warns when no line is left, strips U+001F as
+    whitespace where float() rejects it, and reads a line of one or three
+    fields as another shape. So a body of empty lines, a text with U+001F, and
+    every body that does not come back as one finite pair per line go to the
+    line loop, which owns every CsvFormatError. Passing the lines, not the
+    file, keeps the line splitting of splitlines().
+    """
+    if not any(body) or "\x1f" in text:
+        return None
+    try:
+        records = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if records.shape != (len(body), 2) or not np.isfinite(records).all():
+        return None
+    return records[:, 0], records[:, 1]
+
+
+def _line_columns(path: Path, body: list[str]):
+    """Both columns of ``body`` parsed line by line; CsvFormatError at the first bad line."""
+    thetas = np.empty(len(body))
+    xs = np.empty(len(body))
+    for i, line in enumerate(body, start=2):
         parts = line.split(",")
         if len(parts) != 2:
             raise CsvFormatError(f"{path}: line {i}: expected two comma-separated fields", line=i)
@@ -273,15 +302,19 @@ def read_csv(path) -> Dataset:
         if not (math.isfinite(t) and math.isfinite(v)):
             raise CsvFormatError(f"{path}: line {i}: non-finite value", line=i)
         thetas[i - 2], xs[i - 2] = t, v
+    return thetas, xs
+
+
+def _read_sidecar(path: Path) -> dict:
+    """The metadata sidecar of ``path`` as a dict, or the ingested-file default when there is none."""
     meta_file = _meta_path(path)
-    if meta_file.exists():
-        try:
-            with open(meta_file, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise CsvFormatError(f"{meta_file}: metadata sidecar is not JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise CsvFormatError(f"{meta_file}: metadata sidecar must hold a JSON object")
-    else:
-        meta = {"source": "ingested", "path": str(path)}
-    return Dataset(thetas, xs, meta)
+    if not meta_file.exists():
+        return {"source": "ingested", "path": str(path)}
+    try:
+        with open(meta_file, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CsvFormatError(f"{meta_file}: metadata sidecar is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CsvFormatError(f"{meta_file}: metadata sidecar must hold a JSON object")
+    return meta

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr
 
 from .binning import check_bin_size
 
@@ -117,6 +116,8 @@ def _gh_nodes(order: int = GH_ORDER):
 def _interval_mass(lo, hi):
     # Standard-normal mass of [lo, hi), evaluated from the nearer tail so the
     # difference never cancels catastrophically.
+    from scipy.special import ndtr  # imported here: scipy.special costs every other CLI process 0.3 s
+
     return np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
 
 
@@ -155,6 +156,8 @@ class QuadratureDistribution:
 
     def cdf(self, x):
         """Cumulative distribution at ``x`` (scalar or array)."""
+        from scipy.special import ndtr
+
         v, w = self._node_variances()
         xa = np.asarray(x, dtype=float)
         out = ndtr(xa[..., None] / np.sqrt(v)) @ w

@@ -436,6 +436,10 @@ class TestOptionsCheckedBeforeRead:
             pytest.param(["sweep-sigma", "--steps", "0"], "--steps must be >= 1", id="sweep-steps"),
             pytest.param(["compare", "--n-list", "2,9"], "matrix order must lie in [2, 8], got 9", id="compare-n-list"),
             pytest.param(["compare", "--n-list", ","], "need at least one moment order", id="compare-n-list-empty"),
+            pytest.param(["compare", "--n-list", "a"], "--n-list expects comma-separated integers, got 'a'",
+                         id="compare-n-list-letter"),
+            pytest.param(["compare", "--n-list", "2,2.5"], "--n-list expects comma-separated integers, got '2,2.5'",
+                         id="compare-n-list-fraction"),
             pytest.param(["select", "--half-width", "0"], "window half-width must be positive, got 0.0",
                          id="select-half-width"),
             pytest.param(["select", "--center", "inf", "--half-width", "0.1"],

@@ -1,11 +1,17 @@
 """Dataset tests: sampler fidelity, injection/selection pipeline, CSV round trips."""
 
+import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from quadbin import data as data_module
 from quadbin.data import (
     Dataset,
     check_injected_spread,
@@ -281,3 +287,116 @@ class TestCsv:
         d = read_csv(path)
         assert d.meta["source"] == "ingested"
         assert simulation_params(d.meta) is None
+
+
+def reference_read_csv(path) -> Dataset:
+    """read_csv as one per-line loop, the form before the vectorized parse; the fast path must agree with it."""
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
+    if not lines or lines[0].strip() != "theta,x":
+        raise CsvFormatError(f"{path}: line 1: expected header {'theta,x'!r}", line=1)
+    thetas = np.empty(len(lines) - 1)
+    xs = np.empty(len(lines) - 1)
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CsvFormatError(f"{path}: line {i}: expected two comma-separated fields", line=i)
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {i}: could not parse {line!r}", line=i) from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise CsvFormatError(f"{path}: line {i}: non-finite value", line=i)
+        thetas[i - 2], xs[i - 2] = t, v
+    meta_file = path.with_suffix(".meta.json")
+    if meta_file.exists():
+        with open(meta_file, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    else:
+        meta = {"source": "ingested", "path": str(path)}
+    return Dataset(thetas, xs, meta)
+
+
+def read_outcome(read, path):
+    """What one reader makes of a file: the bytes of both columns and the metadata, or the error and its line."""
+    try:
+        d = read(path)
+    except CsvFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("data", d.theta.tobytes(), d.x.tobytes(), dict(d.meta))
+
+
+# fields float() reads and numpy's parser does not, or reads differently, or that neither reads
+HAZARD_FIELDS = [
+    "", " ", "\t", "#", "#1", "1_0", "\uff11", "\u0663", "\xa01", "1\xa0", "\u20001", "\x1f1", "1\x1f",
+    "nan", "-nan", "NaN", "Infinity", "-inf", "1e400", "-1e400", "1e", "0x1p3", "1d5", "+.5", "1.", '"1"', "1 2",
+    "-0.0", "1e308", "-1e308", "5e-324", "2.2250738585072014e-308",
+]
+FIELDS = st.one_of(
+    st.floats().map(repr),  # shortest repr, subnormals, -0.0, +-inf and nan among them
+    st.sampled_from(HAZARD_FIELDS),
+    st.text(alphabet="0123456789.-+eE_ #\t\r\x0b\x1f\xa0\uff11naif", max_size=5),
+)
+LINES = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.floats().map(repr)).map(",".join),
+    st.lists(FIELDS, min_size=1, max_size=3).map(",".join),  # one, two or three fields
+    st.sampled_from(["", " ", "\t ", "\xa0"]),  # blank and whitespace-only lines
+)
+
+
+class TestVectorizedRead:
+    """read_csv's one-call parse returns what the per-line loop returns, and leaves every error to it."""
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("vectorized")
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.lists(LINES, max_size=6), newline=st.sampled_from(["\n", "\r\n"]), trailing=st.booleans())
+    @example(body=[], newline="\n", trailing=True)
+    @example(body=["0.5,1.0", "", "1.0,2.0"], newline="\n", trailing=True)
+    @example(body=["", ""], newline="\n", trailing=True)
+    @example(body=["0.5,1.0", "  "], newline="\n", trailing=True)
+    @example(body=["1.0", "2.0"], newline="\n", trailing=True)
+    @example(body=["1.0,2.0,3.0"], newline="\n", trailing=True)
+    @example(body=["#,1.0"], newline="\n", trailing=True)
+    @example(body=["1_0,2.0"], newline="\n", trailing=True)
+    @example(body=["\uff11,2.0", "\xa01.0,2.0\xa0"], newline="\n", trailing=True)
+    @example(body=["\x1f1.0,2.0"], newline="\n", trailing=True)
+    @example(body=["0.5,\r1.0"], newline="\n", trailing=False)
+    @example(body=["nan,1.0"], newline="\n", trailing=True)
+    @example(body=["Infinity,1.0"], newline="\n", trailing=True)
+    @example(body=["0.0,1e400"], newline="\n", trailing=True)
+    @example(body=["-0.0,5e-324", "1e308,-1e308", "2.2250738585072014e-308,0.1"], newline="\r\n", trailing=False)
+    def test_agrees_with_the_line_loop(self, csv_dir, body, newline, trailing):
+        path = csv_dir / "records.csv"
+        path.write_bytes(newline.join(["theta,x", *body]).encode("utf-8") + (newline.encode() if trailing else b""))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no data; read_csv must not
+            outcome = read_outcome(read_csv, path)
+        assert outcome == read_outcome(reference_read_csv, path)
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("theta,x\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_csv(path).n == 0
+
+    def test_written_records_never_reach_the_line_loop(self, tmp_path, monkeypatch):
+        d = sample_dataset(StateParams(1.0409, 0.414, 0.15), 20_000, seed=5, phase_window=3.0)
+        path = tmp_path / "records.csv"
+        write_csv(d, path)
+        expected = read_outcome(reference_read_csv, path)
+
+        def no_loop(path, body):
+            raise AssertionError("a file write_csv wrote went to the line loop")
+
+        monkeypatch.setattr(data_module, "_line_columns", no_loop)
+        assert read_outcome(read_csv, path) == expected
+        assert read_csv(path) == d

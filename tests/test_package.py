@@ -1,7 +1,12 @@
 """The package API is each library module's ``__all__``, re-exported once by ``quadbin``."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +32,43 @@ def test_module_api_is_reachable_from_the_package(name):
     assert module.__all__, f"quadbin.{name} declares no __all__"
     for attr in module.__all__:
         assert attr in quadbin.__all__ and getattr(quadbin, attr) is getattr(module, attr), attr
+
+
+def _modules_loaded_by(code: str, cwd: Path) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter has run ``code``."""
+    src = str(Path(quadbin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    report = "\nimport json, sys; sys.stdout.write(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _scipy(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+class TestScipyLoadedOnlyWhereItRuns:
+    """scipy.special is imported by the sampler and the bin-mass/cdf functions only, so other processes skip it."""
+
+    def test_importing_the_package_and_cli_loads_no_scipy(self, tmp_path):
+        assert _scipy(_modules_loaded_by("import quadbin, quadbin.cli", tmp_path)) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--in", "rec.csv", "--center", "0", "--half-width", "0.5", "--out", "kept.csv"],
+            ["moments", "--in", "rec.csv", "--bootstrap", "5"],
+        ],
+        ids=["select", "moments"],
+    )
+    def test_a_command_without_ndtr_loads_no_scipy(self, tmp_path, argv):
+        rows = "".join(f"{0.1 * i - 1.0!r},{(-1.0) ** i * 0.3 * i!r}\n" for i in range(20))
+        (tmp_path / "rec.csv").write_text("theta,x\n" + rows)
+        loaded = _modules_loaded_by(f"import quadbin.cli; assert quadbin.cli.main({argv!r}) == 0", tmp_path)
+        assert _scipy(loaded) == []
+
+    def test_simulate_does_load_scipy_special(self, tmp_path):
+        argv = ["simulate", "--r", "0.3", "--n", "50", "--out", "sim.csv"]
+        loaded = _modules_loaded_by(f"import quadbin.cli; assert quadbin.cli.main({argv!r}) == 0", tmp_path)
+        assert "scipy.special" in loaded
