@@ -25,6 +25,7 @@ import numpy as np
 from .binning import check_bin_size
 from .data import (
     check_injected_spread,
+    check_phase_window,
     check_seed,
     check_selection_window,
     inject_phase_noise,
@@ -49,10 +50,8 @@ from .model import QuadratureDistribution, StateParams
 from .stats import (
     REPLACEMENT,
     SUBSAMPLE,
-    BootstrapResult,
     BootstrapSpec,
     ViolationReport,
-    bootstrap,
     compare_methods,
     min_eigenvalue_statistic,
     resample_values,
@@ -151,70 +150,61 @@ def cmd_simulate(cfg: dict) -> dict:
     }
 
 
-# ---------------------------------------------------------------- three-bin
+# ---------------------------------------------------------------- three-bin and sweep-sigma
+
+
+def _ratio_reports(cfg: dict, sigmas: list[float]) -> tuple[list[ViolationReport], list, list[float]]:
+    """The ratio's report at each bin size in ``sigmas``, its population value (None unless the input names its
+    state) and its value on the whole input; one resample stream serves every size, so neighbouring sizes are paired."""
+    d = cfg["d"]
+    spec = _bootstrap_spec(cfg)
+    data = read_csv(cfg["in_path"])
+    ratio = three_bin_cells(data.x, sigmas, d)
+    values = resample_values(spec, [data.n], [0], ratio)
+    params = simulation_params(data.meta)
+    dist = QuadratureDistribution(params, "x") if params is not None else None
+    return (
+        [ViolationReport.of("three-bin", {"sigma": s, "d": d}, row) for s, row in zip(sigmas, values)],
+        [analytic_three_bin_R(dist, s, d) if dist is not None else None for s in sigmas],
+        ratio(np.arange(data.n)),
+    )
 
 
 def cmd_three_bin(cfg: dict) -> dict:
-    d, sigma = cfg["d"], cfg["sigma"]
-    spec = _bootstrap_spec(cfg)
-    data = read_csv(cfg["in_path"])
-    ratio = three_bin_cells(data.x, [sigma], d)
-    r_point = ratio(np.arange(data.n))[0]
-    boot = bootstrap(data, spec, ratio)
-    (report,) = significant([ViolationReport.of("three-bin", {"sigma": sigma, "d": d}, boot)])
-    params = simulation_params(data.meta)
-    dist = QuadratureDistribution(params, "x") if params is not None else None
+    reports, (analytic,), (r_point,) = _ratio_reports(cfg, [cfg["sigma"]])
+    (report,) = significant(reports)
     return {
-        "sigma": sigma,
-        "d": d,
+        "sigma": cfg["sigma"],
+        "d": cfg["d"],
         "r_point": r_point,
         "r_mean": report.mean,
         "r_std": report.std,
         "v": report.v,
         "nonclassical": report.detected,
-        "analytic": analytic_three_bin_R(dist, sigma, d) if dist is not None else None,
+        "analytic": analytic,
         "n_flagged": report.n_flagged,
     }
-
-
-# ---------------------------------------------------------------- sweep-sigma
 
 
 def cmd_sweep_sigma(cfg: dict) -> dict:
     steps = cfg["steps"]
     if steps < 1:
         raise UsageError("--steps must be >= 1")
-    d = cfg["d"]
     sigmas = np.linspace(cfg["sigma_from"], cfg["sigma_to"], steps).tolist()
-    spec = _bootstrap_spec(cfg)
-    data = read_csv(cfg["in_path"])
-    params = simulation_params(data.meta)
-    dist = QuadratureDistribution(params, "x") if params is not None else None
-
-    # one shared resample stream so neighbouring sigma values are paired
-    values = resample_values(spec, [data.n], [0], three_bin_cells(data.x, sigmas, d))
-
-    rows = []
-    for s, row in zip(sigmas, values):
-        rep = ViolationReport.of("three-bin", {"sigma": s, "d": d}, BootstrapResult.of(row))
-        rows.append(
-            {
-                "sigma": s,
-                "r_mean": rep.mean,
-                "r_std": rep.std,
-                "r_analytic": analytic_three_bin_R(dist, s, d) if dist is not None else None,
-                "nonclassical": rep.detected,
-                "n_flagged": rep.n_flagged,
-            }
-        )
-    usable = [row for row in rows if row["n_flagged"] < spec.n_resamples]
+    reports, analytic, _ = _ratio_reports(cfg, sigmas)
+    rows = [
+        {"sigma": s, "r_mean": rep.mean, "r_std": rep.std, "r_analytic": r, "nonclassical": rep.detected,
+         "n_flagged": rep.n_flagged}
+        for s, rep, r in zip(sigmas, reports, analytic)
+    ]
+    usable = [row for row in rows if row["n_flagged"] < cfg["bootstrap"]]
     if not usable:
         raise UndefinedStatisticError("every resample at every bin width has an empty bin; the sweep has no ratio")
     _write_table(cfg["out"], ["sigma", "r_mean", "r_std", "r_analytic", "nonclassical", "n_flagged"], rows)
     best = min(usable, key=lambda row: row["r_mean"])
     return {
         "out": cfg["out"],
-        "d": d,
+        "d": cfg["d"],
         "steps": steps,
         "min_sigma": best["sigma"],
         "min_r_mean": best["r_mean"],
@@ -233,7 +223,7 @@ def cmd_moments(cfg: dict) -> dict:
     lam = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
     rows = []
     for n, point, row in zip(orders, statistic(data.x), lam):
-        rep = ViolationReport.of("moment", {"n": n}, BootstrapResult.of(row))
+        rep = ViolationReport.of("moment", {"n": n}, row)
         rows.append(
             {
                 "n": n,
@@ -361,7 +351,7 @@ OPTIONS = {
     "delta": (float, 0.0, "phase-diffusion spread (rad)"),
     "n": (int, 10_000, "number of records"),
     "seed": (int, 0, "master seed", check_seed),
-    "phase_window": (float, 0.0, "half-width of a uniform phase scan (rad)"),
+    "phase_window": (float, 0.0, "half-width of a uniform phase scan (rad)", check_phase_window),
     "center": (float, 0.0, "nominal measurement phase (rad)"),
     "sigma": (float, 1.0, "bin width", check_bin_size),
     "d": (int, 1, "bin distance", check_bin_distance),

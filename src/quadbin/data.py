@@ -38,6 +38,7 @@ from .model import StateParams, rotated_variance
 __all__ = [
     "Dataset",
     "check_seed",
+    "check_phase_window",
     "sample_dataset",
     "check_injected_spread",
     "inject_phase_noise",
@@ -108,6 +109,15 @@ def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return ndtri(u)
 
 
+def check_phase_window(phase_window: float) -> float:
+    """``phase_window`` unchanged once it is a usable scan half-width; ValueError otherwise."""
+    if phase_window < 0.0:
+        raise ValueError(f"phase window must be >= 0, got {phase_window!r}")
+    if not np.isfinite(phase_window):
+        raise ValueError(f"phase window must be finite, got {phase_window!r}")
+    return phase_window
+
+
 def sample_dataset(
     params: StateParams,
     n: int,
@@ -124,8 +134,7 @@ def sample_dataset(
     """
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n!r}")
-    if phase_window < 0.0:
-        raise ValueError(f"phase window must be >= 0, got {phase_window!r}")
+    check_phase_window(phase_window)
     rng = _rng(seed)
     scan = rng.uniform(-phase_window, phase_window, n) if phase_window > 0.0 else np.zeros(n)
     phi = params.delta * _standard_normal(rng, n) if params.delta > 0.0 else np.zeros(n)

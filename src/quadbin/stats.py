@@ -23,7 +23,6 @@ __all__ = [
     "SUBSAMPLE",
     "REPLACEMENT",
     "BootstrapSpec",
-    "BootstrapResult",
     "ViolationReport",
     "resample_indices",
     "resample_values",
@@ -75,33 +74,14 @@ class BootstrapSpec:
 
 
 @dataclass(frozen=True)
-class BootstrapResult:
-    """The B values of one statistic, undefined ones pinned to 0.0 and counted in ``n_flagged``."""
-
-    samples: np.ndarray
-    n_flagged: int = 0
-
-    @classmethod
-    def of(cls, values) -> BootstrapResult:
-        undefined = np.isnan(values)
-        return cls(np.where(undefined, 0.0, values), int(undefined.sum()))
-
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def std(self) -> float:
-        return spread(self.samples)
-
-
-@dataclass(frozen=True)
 class ViolationReport:
     """Statistical significance of one detector's bootstrap, the verdict of every bootstrap row.
 
-    ``v`` is (classical limit - mean) / std with the method's limit from
-    ``CLASSICAL_LIMIT``, and None when the spread is zero; ``detected`` (a
-    positive ``v``) is the only verdict, so a zero-spread row is never one.
+    ``of`` takes the B values of one statistic, pins the undefined (NaN) ones
+    to 0.0 and counts them in ``n_flagged``. ``v`` is (classical limit - mean)
+    / std with the method's limit from ``CLASSICAL_LIMIT``, and None when the
+    spread is zero; ``detected`` (a positive ``v``) is the only verdict, so a
+    zero-spread row is never one.
     """
 
     method: str
@@ -112,10 +92,12 @@ class ViolationReport:
     n_flagged: int
 
     @classmethod
-    def of(cls, method: str, params: dict, boot: BootstrapResult) -> ViolationReport:
-        mean, std = boot.mean, boot.std
+    def of(cls, method: str, params: dict, values) -> ViolationReport:
+        undefined = np.isnan(values)
+        samples = np.where(undefined, 0.0, values)
+        mean, std = float(samples.mean()), spread(samples)
         v = (CLASSICAL_LIMIT[method] - mean) / std if std > 0.0 else None
-        return cls(method, dict(params), mean, std, v, boot.n_flagged)
+        return cls(method, dict(params), mean, std, v, int(undefined.sum()))
 
     @property
     def detected(self) -> bool:
@@ -157,33 +139,25 @@ def resample_values(spec: BootstrapSpec, sizes, streams, statistic: Statistic) -
     return values
 
 
-def bootstrap(data, spec: BootstrapSpec, statistic: Statistic) -> BootstrapResult:
-    """Evaluate ``statistic`` on ``n_resamples`` index sets into the dataset's records.
+def bootstrap(data, spec: BootstrapSpec, statistic: Statistic, method: str, params: dict) -> ViolationReport:
+    """The ``method`` report of ``statistic`` on ``n_resamples`` index sets into the dataset's records.
 
     The B values are the full empirical estimator distribution; undefined
-    ones are pinned to 0.0 and counted (see BootstrapResult).
+    ones are pinned to 0.0 and counted (see ViolationReport).
     """
-    return BootstrapResult.of(resample_values(spec, [data.n], [0], statistic)[0])
+    return ViolationReport.of(method, params, resample_values(spec, [data.n], [0], statistic)[0])
 
 
 def three_bin_statistic(sigma: float, d: int) -> Statistic:
-    """Binned ratio of outcome values at fixed (sigma, d), counted record by record.
+    """Binned ratio of outcome values at fixed (sigma, d): ``three_bin_cells`` on the whole input.
 
-    The library's point-value API, and the reference that ``three_bin_cells``
-    matches bit for bit. An input with an empty centre or side bin has no
-    ratio and gives NaN. Both options are checked when the statistic is built.
+    The library's point-value API. An input with an empty centre or side bin
+    has no ratio and gives NaN. Both options are checked when the statistic
+    is built.
     """
     check_bin_distance(d)
     check_bin_size(sigma)
-
-    def stat(x: np.ndarray) -> float:
-        m = bin_indices(x, sigma)
-        c0, cpos, cneg = (int(np.count_nonzero(m == k)) for k in (0, d, -d))
-        if c0 == 0 or cpos == 0 or cneg == 0:
-            return np.nan
-        return three_bin_ratio(cpos, cneg, c0, sigma, d)
-
-    return stat
+    return lambda x: three_bin_cells(x, [sigma], d)(np.arange(len(x)))[0]
 
 
 def three_bin_cells(x, sigmas, d: int) -> Statistic:
@@ -193,12 +167,14 @@ def three_bin_cells(x, sigmas, d: int) -> Statistic:
     and d are runs of the sorted pool. The sorted pool is cut at every run
     boundary of every size, and each record gets the number of its cell. A
     resample's bin counts are then exact differences of its cumulative cell
-    counts, and each ratio is bit for bit that of ``three_bin_statistic(sigma,
-    d)`` on the resampled values, NaN for an empty bin included.
+    counts, and each ratio is bit for bit that of the per-record count on the
+    resampled values (the reference in tests/reference.py), NaN for an empty
+    bin included.
     """
     check_bin_distance(d)
     x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
+    # equal values share every bin, so no cut falls between them and any sort order gives the same cells
+    order = np.argsort(x)
     ordered = x[order]
     edges = [-d - 0.5, -d + 0.5, -0.5, 0.5, d - 0.5, d + 0.5]
     # sorted-pool positions where bins -d, 0 and d start and end, one row per size
@@ -268,4 +244,4 @@ def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSp
     ratio, eigenvalues = three_bin_cells(data.x, [sigma], d), min_eigenvalue_statistic(*orders)
     values = resample_values(spec, [data.n], [0], lambda i: [*ratio(i), *eigenvalues(data.x[i])])
     rows = [("three-bin", {"sigma": sigma, "d": d})] + [("moment", {"n": n}) for n in orders]
-    return significant([ViolationReport.of(m, p, BootstrapResult.of(v)) for (m, p), v in zip(rows, values)])
+    return significant([ViolationReport.of(m, p, v) for (m, p), v in zip(rows, values)])

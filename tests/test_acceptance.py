@@ -170,7 +170,8 @@ def anchor_pool():
 def test_criterion_2_reference_ratio(anchor_pool):
     t0 = time.perf_counter()
     pool = sample_dataset(ANCHOR, 40_000, seed=778)
-    boot = bootstrap(pool, BootstrapSpec(10_000, 100, 201, SUBSAMPLE), three_bin_cells(pool.x, [1.0], 1))
+    spec = BootstrapSpec(10_000, 100, 201, SUBSAMPLE)
+    boot = bootstrap(pool, spec, three_bin_cells(pool.x, [1.0], 1), "three-bin", {"sigma": 1.0, "d": 1})
     elapsed = time.perf_counter() - t0
     combined = np.hypot(0.04, boot.std)
     ok = abs(boot.mean - 0.60) <= 3 * combined and elapsed < 5.0
@@ -205,8 +206,9 @@ def test_criterion_3_bin_size_optimum(anchor_pool):
 def test_criterion_4_bin_distance_effect():
     diffused = family(0.37)
     pool = sample_dataset(diffused, 40_000, seed=404)
-    wide = bootstrap(pool, BootstrapSpec(10_000, 100, 401, SUBSAMPLE), three_bin_cells(pool.x, [1.0], 3))
-    narrow = bootstrap(pool, BootstrapSpec(10_000, 100, 402, SUBSAMPLE), three_bin_cells(pool.x, [0.5], 3))
+    wide_spec, narrow_spec = BootstrapSpec(10_000, 100, 401, SUBSAMPLE), BootstrapSpec(10_000, 100, 402, SUBSAMPLE)
+    wide = bootstrap(pool, wide_spec, three_bin_cells(pool.x, [1.0], 3), "three-bin", {"sigma": 1.0, "d": 3})
+    narrow = bootstrap(pool, narrow_spec, three_bin_cells(pool.x, [0.5], 3), "three-bin", {"sigma": 0.5, "d": 3})
     combined = np.hypot(0.05, narrow.std)
     ok = wide.mean > 1.0 and abs(narrow.mean - 0.62) <= 3 * combined
     report(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import per_record_ratio
 
 import quadbin
 from quadbin.binning import check_bin_size
@@ -20,6 +21,7 @@ from quadbin.cli import COMMANDS, OPTIONS, _flag, main
 from quadbin.data import (
     Dataset,
     check_injected_spread,
+    check_phase_window,
     check_seed,
     inject_phase_noise,
     read_csv,
@@ -32,7 +34,7 @@ from quadbin.errors import EstimationError
 from quadbin.estimate import db_from_variance, estimate_params, params_from_variances, summarize
 from quadbin.fock import check_cutoff
 from quadbin.model import StateParams
-from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices, three_bin_statistic
+from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices
 
 ANCHOR = StateParams(1.0409, 0.414, 0.15)
 
@@ -405,6 +407,9 @@ REJECTED = {
     check_cutoff: [("100000", "Fock cutoff must lie in [0, 60], got 100000")],
     check_injected_spread: [("-1", "injected spread must be >= 0, got -1.0"),
                             ("inf", "injected spread must be finite, got inf")],
+    check_phase_window: [("-1", "phase window must be >= 0, got -1.0"),
+                         ("nan", "phase window must be finite, got nan"),
+                         ("inf", "phase window must be finite, got inf")],
 }
 
 # the bootstrap plan's own rules, checked inside each command that resamples
@@ -456,6 +461,22 @@ class TestOptionsCheckedBeforeRead:
         code, _, err = run(capsys, argv[0], *required, *argv[1:])
         assert code == 1 and err["error"]["exit_code"] == 1
         assert err["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (key, value, message)
+            for key in COMMANDS["simulate"].options
+            if len(OPTIONS[key]) > 3
+            for value, message in REJECTED[OPTIONS[key][3]]
+        ],
+    )
+    def test_bad_simulate_option_fails_before_any_draw(self, capsys, tmp_path, key, value, message):
+        # a NaN phase window used to exit 0 and print "phase_window": NaN, which is not JSON
+        out = tmp_path / "a.csv"
+        code, payload, err = run(capsys, "simulate", "--r", "1", "--n", "3", _flag(key), value, "--out", str(out))
+        assert (code, payload, err["error"]["message"]) == (1, None, message)
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
 class TestCleanStderr:
@@ -553,7 +574,7 @@ class TestPipelineComposition:
         params = StateParams(anchor.r, anchor.loss, 0.15)
         data = sample_dataset(params, 50_000, seed=55, phase_window=np.pi)
         mem = select_phase_window(inject_phase_noise(data, 0.25, seed=56), 0.0, 0.1)
-        point = three_bin_statistic(0.9, 1)(mem.x)
+        point = per_record_ratio(mem.x, 0.9, 1)
         assert mem.n == sel["n_kept"]
         assert cli_row["r_point"] == point  # bit-for-bit
 
@@ -761,7 +782,7 @@ class TestBootstrapNumbersByHand:
         for b in range(spec.n_resamples):
             xs = data.x[resample_indices(spec, data.n, b)]
             for i, s in enumerate(sigmas):
-                r_vals[i, b] = three_bin_statistic(float(s), 1)(xs)
+                r_vals[i, b] = per_record_ratio(xs, float(s), 1)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 4
         for row, s, vals in zip(rows, sigmas, r_vals):

@@ -15,6 +15,7 @@ from quadbin import data as data_module
 from quadbin.data import (
     Dataset,
     check_injected_spread,
+    check_phase_window,
     check_selection_window,
     inject_phase_noise,
     read_csv,
@@ -104,6 +105,20 @@ class TestSampler:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
             sample_dataset(StateParams(0.1, 0.0, 0.0), 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [(-1.0, "phase window must be >= 0, got -1.0"), (-np.inf, "phase window must be >= 0, got -inf"),
+         (np.nan, "phase window must be finite, got nan"), (np.inf, "phase window must be finite, got inf")],
+    )
+    def test_window_rule_is_the_one_the_sampler_raises(self, window, message):
+        # a NaN window used to sample a constant scan and an infinite one to fail inside numpy's uniform draw
+        assert check_phase_window(0.0) == 0.0 and check_phase_window(np.pi) == np.pi
+        with pytest.raises(ValueError) as rule:
+            check_phase_window(window)
+        with pytest.raises(ValueError) as sampler:
+            sample_dataset(StateParams(0.1, 0.0, 0.0), 10, seed=1, phase_window=window)
+        assert str(rule.value) == str(sampler.value) == message
 
     def test_metadata(self):
         p = StateParams(0.3, 0.2, 0.1)

@@ -4,12 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
+from scipy.special import ndtr
 
 from quadbin.binning import histogram
 from quadbin.data import sample_dataset
 from quadbin.detect import (
     CLASSICAL_LIMIT,
+    MAX_MOMENT_ORDER,
+    MIN_MOMENT_ORDER,
     analytic_three_bin_R,
     check_bin_distance,
     moment_matrix_from_moments,
@@ -22,8 +27,8 @@ from quadbin.estimate import params_from_variances
 from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import (
     REPLACEMENT,
-    BootstrapResult,
     BootstrapSpec,
+    ViolationReport,
     bootstrap,
     min_eigenvalue_statistic,
     three_bin_cells,
@@ -83,8 +88,8 @@ class TestThreeBin:
     def test_zero_side_count_pins_to_zero_with_flag(self):
         r = three_bin_statistic(1.0, 1)(outcomes({0: 100, 1: 3}))
         assert np.isnan(r)
-        boot = BootstrapResult.of(np.array([r]))
-        assert boot.samples.tolist() == [0.0] and boot.n_flagged == 1
+        rep = ViolationReport.of("three-bin", {"sigma": 1.0, "d": 1}, np.array([r]))
+        assert rep.mean == 0.0 and rep.n_flagged == 1
 
     def test_rejects_bad_distance(self):
         with pytest.raises(ValueError):
@@ -145,7 +150,8 @@ class TestAnalyticThreeBin:
         data = sample_dataset(p, 10_000, seed=50)
         dist = QuadratureDistribution(p)
         for sigma, d in ((0.6, 1), (1.0, 1), (0.5, 2)):
-            boot = bootstrap(data, BootstrapSpec(10_000, 100, 3, REPLACEMENT), three_bin_cells(data.x, [sigma], d))
+            spec = BootstrapSpec(10_000, 100, 3, REPLACEMENT)
+            boot = bootstrap(data, spec, three_bin_cells(data.x, [sigma], d), "three-bin", {"sigma": sigma, "d": d})
             point = three_bin_statistic(sigma, d)(data.x)
             assert abs(point - analytic_three_bin_R(dist, sigma, d)) <= 4 * boot.std
 
@@ -240,3 +246,51 @@ class TestMomentMatrix:
         data = sample_dataset(StateParams(0.8, 0.1, 0.4), 20_000, seed=8)
         (lambda_min,) = min_eigenvalue_statistic(8)(data.x)
         assert np.isfinite(lambda_min)
+
+
+def coherent_bin_masses(mus, sigma: float, d: int) -> np.ndarray:
+    """Masses of bins -d, 0 and d of size ``sigma`` (rows) for N(mu, 1) outcomes, the x marginal of a coherent
+    state, at each mean in ``mus`` (columns). A bin above the mean is a difference of upper tails, so it does not
+    cancel to 0."""
+    edge = np.array([-d, 0, d])[:, None] * sigma - np.asarray(mus, dtype=float)
+    lo, hi = edge - 0.5 * sigma, edge + 0.5 * sigma
+    return np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+
+
+# relative slack for rounding only: the bounds below hold exactly
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def mixtures(largest_mean: float):
+    """Mixtures of up to five coherent states: the x means of the components and their probabilities."""
+    pairs = st.lists(st.tuples(st.floats(-largest_mean, largest_mean), st.floats(0.01, 1.0)), min_size=1, max_size=5)
+    return pairs.map(lambda p: (np.array([mu for mu, _ in p]), np.array([w for _, w in p]) / sum(w for _, w in p)))
+
+
+class TestClassicalBound:
+    """No mixture of coherent states crosses either detector's classical limit at the population level."""
+
+    def test_coherent_ratio_grid(self):
+        mus = np.linspace(0.0, 12.0, 121)
+        worst = min(
+            three_bin_ratio(ppos, pneg, p0, sigma, d)
+            for sigma, d in itertools.product(np.linspace(0.05, 4.0, 80), range(1, 5))
+            for pneg, p0, ppos in coherent_bin_masses(mus, sigma, d).T
+        )
+        # the smallest excess, about 5e-7, is at sigma = 0.05, d = 1, mu = 12
+        assert worst >= CLASSICAL_LIMIT["three-bin"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture=mixtures(12.0), sigma=st.floats(0.05, 4.0), d=st.integers(1, 4))
+    def test_coherent_mixture_ratio(self, mixture, sigma, d):
+        mus, weights = mixture
+        pneg, p0, ppos = coherent_bin_masses(mus, sigma, d) @ weights
+        assert three_bin_ratio(ppos, pneg, p0, sigma, d) >= CLASSICAL_LIMIT["three-bin"] * (1.0 - ROUNDING)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture=mixtures(4.0), n=st.integers(MIN_MOMENT_ORDER, MAX_MOMENT_ORDER))
+    def test_coherent_mixture_moment_matrix(self, mixture, n):
+        # the normally ordered moment j of a coherent state is mu^j, so the moment matrix is a sum of w v v^T
+        mus, weights = mixture
+        moments = weights @ mus[:, None] ** np.arange(2 * n - 1)
+        assert moment_matrix_from_moments(moments, n) >= CLASSICAL_LIMIT["moment"] - ROUNDING * np.abs(moments).max()

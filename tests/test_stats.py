@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import per_record_ratio
 
 from quadbin.data import Dataset, sample_dataset
 from quadbin.detect import analytic_three_bin_R, moment_matrix_from_moments, normally_ordered_moments
@@ -12,7 +13,6 @@ from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import (
     REPLACEMENT,
     SUBSAMPLE,
-    BootstrapResult,
     BootstrapSpec,
     ViolationReport,
     bootstrap,
@@ -31,7 +31,7 @@ VACUUM_DATA = sample_dataset(StateParams(0.0, 0.0, 0.0), 10_000, seed=60)
 
 def report(samples, method="three-bin", **params):
     """The violation report of ``samples`` taken as one bootstrap of ``method``."""
-    return ViolationReport.of(method, params, BootstrapResult.of(np.asarray(samples, dtype=float)))
+    return ViolationReport.of(method, params, np.asarray(samples, dtype=float))
 
 
 class TestSpecValidation:
@@ -108,7 +108,7 @@ def edge_pools(draw):
 
 
 class TestThreeBinCells:
-    """The count-cell ratios are bit for bit the per-record ratios of the same resamples."""
+    """The count-cell ratios, and the public statistic, are bit for bit the per-record ratios of the same resamples."""
 
     @settings(max_examples=200, deadline=None)
     # every record in the centre bin: both side bins are empty
@@ -126,45 +126,53 @@ class TestThreeBinCells:
         sigma, x = pool
         sigmas = [sigma, *EXTREME_SIGMAS]
         spec = BootstrapSpec(max(1, round(size_frac * x.size)), 8, seed, mode)
-        per_record = [three_bin_statistic(s, d) for s in sigmas]
         with np.errstate(all="ignore"):
             cells = resample_values(spec, [x.size], [0], three_bin_cells(x, sigmas, d))
-            reference = resample_values(spec, [x.size], [0], lambda i: [stat(x[i]) for stat in per_record])
+            reference = resample_values(spec, [x.size], [0], lambda i: [per_record_ratio(x[i], s, d) for s in sigmas])
             whole = three_bin_cells(x, sigmas, d)(np.arange(x.size))
-            point = [stat(x) for stat in per_record]
+            public = [three_bin_statistic(s, d)(x) for s in sigmas]
+            point = [per_record_ratio(x, s, d) for s in sigmas]
         assert np.array_equal(cells, reference, equal_nan=True)
         assert np.array_equal(whole, point, equal_nan=True)
+        assert np.array_equal(public, point, equal_nan=True)
+
+    def test_public_statistic_of_no_records_is_nan(self):
+        # no record, so no centre bin; the pools above hold at least one record
+        assert np.isnan(three_bin_statistic(1.0, 1)([])) and np.isnan(per_record_ratio([], 1.0, 1))
 
 
-class TestBootstrapResult:
+class TestViolationReportOf:
     def test_pins_nan_to_zero_and_counts_it(self):
-        res = BootstrapResult.of(np.array([0.5, np.nan, 1.5, np.nan]))
-        assert res.samples.tolist() == [0.5, 0.0, 1.5, 0.0] and res.n_flagged == 2
-        assert res.mean == 0.5
+        res = ViolationReport.of("three-bin", {}, np.array([0.5, np.nan, 1.5, np.nan]))
+        pinned = np.array([0.5, 0.0, 1.5, 0.0])
+        assert res.n_flagged == 2
+        assert res.mean == 0.5 == float(pinned.mean())
+        assert res.std == spread(pinned) > 0.0
 
     def test_finite_values_stay_bit_identical(self):
+        # the mean and spread are those of the values themselves, not of a copy that moved a bit
         values = np.random.default_rng(5).normal(0.6, 0.04, 50)
-        res = BootstrapResult.of(values)
+        res = ViolationReport.of("three-bin", {}, values)
         assert res.n_flagged == 0
-        assert np.array_equal(res.samples.view(np.int64), values.view(np.int64))
+        assert res.mean == float(values.mean()) and res.std == float(np.std(values))
 
 
 class TestBootstrap:
     def test_deterministic(self):
         spec = BootstrapSpec(5_000, 20, 123, SUBSAMPLE)
-        a = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
-        b = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
-        assert a.mean == b.mean and a.std == b.std
-        assert np.array_equal(a.samples, b.samples)
+        a, b = (bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1), "three-bin", {}) for _ in "ab")
+        assert a.mean == b.mean and a.std == b.std and a == b
+        stat = three_bin_cells(VACUUM_DATA.x, [1.0], 1)
+        assert np.array_equal(*(resample_values(spec, [VACUUM_DATA.n], [0], stat) for _ in "ab"))
 
     def test_constant_statistic_has_zero_spread(self):
         spec = BootstrapSpec(100, 10, 0, REPLACEMENT)
-        res = bootstrap(VACUUM_DATA, spec, lambda i: 1.0)
-        assert res.std == 0.0 and res.mean == 1.0
+        res = bootstrap(VACUUM_DATA, spec, lambda i: 1.0, "three-bin", {})
+        assert res.std == 0.0 and res.mean == 1.0 and res.v is None
 
     def test_vacuum_ratio_sits_at_the_classical_boundary(self):
         spec = BootstrapSpec(10_000, 100, 7, REPLACEMENT)
-        res = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1))
+        res = bootstrap(VACUUM_DATA, spec, three_bin_cells(VACUUM_DATA.x, [1.0], 1), "three-bin", {})
         analytic = analytic_three_bin_R(QuadratureDistribution(StateParams(0.0, 0.0, 0.0)), 1.0, 1)
         assert abs(res.mean - 1.0) <= 3 * res.std
         assert abs(res.mean - analytic) <= 3 * res.std
@@ -174,7 +182,7 @@ class TestBootstrap:
         x = np.concatenate([np.zeros(200), [3.0]])
         data = Dataset(np.zeros_like(x), x)
         spec = BootstrapSpec(201, 50, 11, REPLACEMENT)
-        res = bootstrap(data, spec, three_bin_cells(data.x, [1.0], 3))
+        res = bootstrap(data, spec, three_bin_cells(data.x, [1.0], 3), "three-bin", {"sigma": 1.0, "d": 3})
         assert 0 < res.n_flagged <= 50
         assert np.isfinite(res.mean)
 
@@ -185,8 +193,8 @@ class TestBootstrap:
         stat = three_bin_cells(pool.x, [1.0], 1)
         ratios = []
         for rep in range(10):
-            small = bootstrap(pool, BootstrapSpec(10_000, 100, 700 + rep, REPLACEMENT), stat)
-            large = bootstrap(pool, BootstrapSpec(40_000, 100, 800 + rep, REPLACEMENT), stat)
+            small = bootstrap(pool, BootstrapSpec(10_000, 100, 700 + rep, REPLACEMENT), stat, "three-bin", {})
+            large = bootstrap(pool, BootstrapSpec(40_000, 100, 800 + rep, REPLACEMENT), stat, "three-bin", {})
             ratios.append(small.std / large.std)
         assert 1.6 <= np.mean(ratios) <= 2.4
 
@@ -259,7 +267,7 @@ class TestCompareMethods:
         r_vals, l2, l4 = [], [], []
         for b in range(spec.n_resamples):
             xs = data.x[resample_indices(spec, data.n, b)]
-            r_vals.append(three_bin_statistic(1.0, 1)(xs))
+            r_vals.append(per_record_ratio(xs, 1.0, 1))
             moms = normally_ordered_moments(xs, 6)
             l2.append(moment_matrix_from_moments(moms, 2))
             l4.append(moment_matrix_from_moments(moms, 4))
