@@ -8,10 +8,16 @@ beam splitter. Two-mode matrices use the composite row index a * (cutoff + 1) + 
 for basis state |a, b> (mode A first).
 
 Loss and dephasing keep only the coherences rho[n, m] with n - m even, so the
-partial transpose is block-diagonal in the parity of a + b; the trace norm is
-summed over the two half-size parity blocks whenever the off-block entries are
-exactly zero. The states built here are real (float64) and stay real, so they
-are solved in real arithmetic; a complex matrix passed in by a caller is not.
+partial transpose is block-diagonal in the parity of a + b whenever every odd
+coherence is exactly zero. The states built here are also real (float64) and
+exactly symmetric, and then exchanging the two modes commutes with the partial
+transpose, so each parity block splits again into an exchange-symmetric and an
+exchange-antisymmetric block (441, 400, 420 and 420 states at cutoff 40).
+Those four blocks are gathered straight from the single-mode matrix, without
+the two-mode matrix; a two-mode state at cutoff 60 solves in about 0.2 s
+(2-vCPU Xeon, OpenBLAS). A complex or inexactly symmetric matrix
+passed in by a caller is split and transposed in full and solved by parity
+block alone.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 10
-# Largest cutoff accepted; a two-mode state at cutoff 60 solves in about a second.
+# Largest cutoff accepted; a real state's entanglement potential at cutoff 60 takes about 0.2 s.
 MAX_CUTOFF = 60
 
 
@@ -64,6 +70,10 @@ class FockDensityMatrix:
         m = np.asarray(self.mat)
         if m.shape != (self.cutoff + 1, self.cutoff + 1):
             raise ValueError(f"matrix shape {m.shape} does not match cutoff {self.cutoff}")
+        # entanglement_potential reads one triangle of each block it solves, so only rounding may break the symmetry
+        asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(m), initial=0.0))):
+            raise ValueError(f"density matrix is not Hermitian: largest |rho - rho^H| entry is {asym:.3g}")
 
     @property
     def trace(self) -> float:
@@ -160,6 +170,51 @@ def partial_transpose(two: np.ndarray) -> np.ndarray:
     return np.transpose(two.reshape(nc1, nc1, nc1, nc1), (0, 3, 2, 1)).reshape(nc1**2, nc1**2)
 
 
+def _parity_classes(a: np.ndarray, b: np.ndarray, split: bool) -> list[np.ndarray]:
+    """Masks over the pairs (a, b): one class, or two by the parity of a + b when ``split``."""
+    return [(a + b) % 2 == p for p in (0, 1)] if split else [np.ones(a.size, bool)]
+
+
+def _exchange_blocks(mat: np.ndarray, split: bool) -> list[np.ndarray]:
+    """The exchange-symmetric and -antisymmetric blocks of the split output's partial transpose, per parity class.
+
+    For a real symmetric ``mat`` the partial transpose has the entry
+    u(a) u(b) S[a + b', a' + b] u(a') u(b') at (a, b), (a', b'), with
+    S = diag(h) rho diag(h) zero beyond the cutoff, h(n) = sqrt(n! / 2^n) and
+    u(k) = 1 / sqrt(k!). S is symmetric, so swapping the modes commutes with
+    it. On the basis |a, a> and (|a, b> +- |b, a>) / sqrt(2), a < b, the
+    symmetric block is G + G' and the antisymmetric block G - G', where G'
+    takes each column (a', b') at (b', a'); the rows and columns of |a, a>
+    carry a further 1 / sqrt(2) each. Each parity class (``_parity_classes``)
+    gives its own two blocks.
+    """
+    nc = mat.shape[0] - 1
+    width = 2 * nc + 1
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, nc + 1)])
+    h = np.sqrt(fact / 2.0 ** np.arange(nc + 1))
+    s = np.zeros((width, width))
+    s[: nc + 1, : nc + 1] = mat * np.outer(h, h)
+    s = s.ravel()
+    # pairs a < b first, then a = b, so each antisymmetric block is the leading square of its gather
+    a, b = np.triu_indices(nc + 1, 1)
+    a, b = np.r_[a, np.arange(nc + 1)], np.r_[b, np.arange(nc + 1)]
+    u = 1.0 / np.sqrt(fact)
+    blocks = []
+    for cls in _parity_classes(a, b, split):
+        ca, cb = a[cls], b[cls]
+        # the flat index of S[a + b', a' + b] is a sum of one term per row and one per column
+        row = ca * width + cb
+        uu = u[ca] * u[cb]
+        diag = (ca == cb).astype(float)
+        # exp2 gives the two diagonal-pair factors as exactly 1/2, which sqrt(1/2) squared is not
+        scale = np.outer(uu, uu) * np.exp2(-0.5 * (diag[:, None] + diag[None, :]))
+        g = s[row[:, None] + (cb * width + ca)[None, :]] * scale
+        swapped = s[row[:, None] + row[None, :]] * scale
+        m = np.count_nonzero(ca != cb)
+        blocks += [g + swapped, g[:m, :m] - swapped[:m, :m]]
+    return blocks
+
+
 def entanglement_potential(state: FockDensityMatrix) -> float:
     """Entanglement (ebits) producible by splitting the state on a balanced beam splitter.
 
@@ -167,12 +222,17 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    pt = partial_transpose(beam_split_with_vacuum(state))
-    a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
-    even = (a + b) % 2 == 0
-    # the even and odd blocks are solved apart when nothing couples them
-    blocks = [even, ~even] if not pt[np.ix_(even, ~even)].any() else [np.ones_like(even)]
-    vals = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(idx, idx)]) for idx in blocks])
+    mat = np.asarray(state.mat)
+    n = np.arange(state.cutoff + 1)
+    # the parity classes of a + b decouple when nothing connects them: no odd coherence
+    split = not mat[(n[:, None] - n[None, :]) % 2 == 1].any()
+    if np.isrealobj(mat) and np.array_equal(mat, mat.T):
+        blocks = _exchange_blocks(mat, split)
+    else:
+        pt = partial_transpose(beam_split_with_vacuum(state))
+        a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
+        blocks = [pt[np.ix_(idx, idx)] for idx in _parity_classes(a, b, split)]
+    vals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     return float(np.log2(np.abs(vals).sum()))
 
 

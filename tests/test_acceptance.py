@@ -60,6 +60,7 @@ from quadbin.stats import (
     bootstrap,
     compare_methods,
     resample_indices,
+    resample_values,
     three_bin_cells,
     three_bin_statistic,
 )
@@ -183,11 +184,7 @@ def test_criterion_2_reference_ratio(anchor_pool):
 def test_criterion_3_bin_size_optimum(anchor_pool):
     sigmas = np.linspace(0.2, 3.0, 29)
     spec = BootstrapSpec(10_000, 100, 301, SUBSAMPLE)
-    values = np.empty((sigmas.size, spec.n_resamples))
-    for b in range(spec.n_resamples):
-        xs = anchor_pool.x[resample_indices(spec, anchor_pool.n, b)]
-        for i, s in enumerate(sigmas):
-            values[i, b] = ratio_point(xs, float(s), 1)
+    values = resample_values(spec, [anchor_pool.n], [0], three_bin_cells(anchor_pool.x, sigmas, 1))
     means = values.mean(axis=1)
     stds = values.std(axis=1)
     i_min = int(np.argmin(means))

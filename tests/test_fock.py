@@ -53,6 +53,12 @@ def pt_oracle(mat2: np.ndarray, nc: int) -> np.ndarray:
     return out
 
 
+def full_solve_ep(s: FockDensityMatrix) -> float:
+    """EP from the whole two-mode partial transpose, split and transposed in full and solved in one piece."""
+    vals = np.linalg.eigvalsh(partial_transpose(beam_split_with_vacuum(s)))
+    return float(np.log2(np.abs(vals).sum()))
+
+
 def dense_ep_oracle(mat: np.ndarray) -> float:
     """EP through the literal splitter sum, the elementwise transpose and the general eigensolver."""
     vals = np.linalg.eigvals(pt_oracle(beam_split_oracle(mat), mat.shape[0] - 1))
@@ -107,6 +113,24 @@ class TestSqueezedVacuum:
         assert squeezed_vacuum_fock(0.4).mat.dtype == np.float64
         for state in BENCH_STATES:
             assert state_from_params(StateParams(*state)).mat.dtype == np.float64
+
+
+class TestDensityMatrix:
+    def test_rejects_a_matrix_that_is_not_hermitian(self):
+        mat = np.diag([0.5, 0.5, 0.0])
+        mat[0, 1] = 0.25
+        with pytest.raises(ValueError, match=r"not Hermitian: largest \|rho - rho\^H\| entry is 0\.25$"):
+            FockDensityMatrix(2, mat)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            FockDensityMatrix(2, np.diag([0.5, 0.5, 0.0]) + 0.1j * np.eye(3))
+
+    def test_rounding_asymmetry_is_accepted_and_solved_in_full(self):
+        s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=8)
+        mat = s.mat.copy()
+        mat[2, 0] = np.nextafter(mat[2, 0], 1.0)
+        nudged = FockDensityMatrix(s.cutoff, mat, s.truncated_mass)
+        assert entanglement_potential(nudged) == pytest.approx(full_solve_ep(nudged), abs=1e-12)
+        assert entanglement_potential(nudged) == pytest.approx(entanglement_potential(s), abs=1e-12)
 
 
 class TestLossChannel:
@@ -273,7 +297,8 @@ class TestPartialTranspose:
 
 class TestEntanglementPotential:
     def test_vacuum_is_exactly_zero(self):
-        assert entanglement_potential(squeezed_vacuum_fock(0.0)) == 0.0
+        for cutoff in range(MAX_CUTOFF + 1):
+            assert entanglement_potential(squeezed_vacuum_fock(0.0, cutoff)) == 0.0
 
     def test_matches_dense_eigenvalue_oracle(self):
         # independent route: literal splitter sum, elementwise transpose,
@@ -313,10 +338,33 @@ class TestEntanglementPotential:
 
     @pytest.mark.parametrize("state", BENCH_STATES)
     def test_matches_full_complex_solve(self, state):
-        for cutoff in (10, 20, 30):
+        # at cutoffs 0-2 some exchange and parity blocks are empty
+        for cutoff in (0, 1, 2, 10, 20, 30, 40):
             s = state_from_params(StateParams(*state), cutoff)
-            full = np.linalg.eigvalsh(partial_transpose(beam_split_with_vacuum(s)))
-            assert entanglement_potential(s) == pytest.approx(float(np.log2(np.abs(full).sum())), abs=1e-12)
+            assert entanglement_potential(s) == pytest.approx(full_solve_ep(s), abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 12, 25])
+    def test_random_real_states_with_odd_coherences_match_full_solve(self, cutoff):
+        # odd coherences couple the parity classes, so only the exchange split applies
+        rng = np.random.default_rng(cutoff)
+        for _ in range(3):
+            x = rng.normal(size=(cutoff + 1, cutoff + 1))
+            mat = x @ x.T
+            mat = np.triu(mat) + np.triu(mat, 1).T
+            s = FockDensityMatrix(cutoff, mat / np.trace(mat))
+            assert cutoff == 0 or s.mat[0, 1] != 0.0
+            assert entanglement_potential(s) == pytest.approx(full_solve_ep(s), abs=1e-12)
+
+    def test_exchange_commutes_with_partial_transpose_of_real_states_only(self):
+        s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=10)
+        a, b = np.divmod(np.arange((s.cutoff + 1) ** 2), s.cutoff + 1)
+        swap = b * (s.cutoff + 1) + a  # the index of |b, a> at the index of |a, b>
+        pt = partial_transpose(beam_split_with_vacuum(s))
+        assert np.max(np.abs(pt[np.ix_(swap, swap)] - pt)) <= 4 * np.finfo(float).eps * np.max(np.abs(pt))
+        n = np.arange(s.cutoff + 1)
+        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        pt = partial_transpose(beam_split_with_vacuum(rotated))
+        assert np.max(np.abs(pt[np.ix_(swap, swap)] - pt)) > 1e-3
 
     def test_positive_under_strong_dephasing(self):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)
