@@ -53,7 +53,8 @@ from .stats import (
     BootstrapSpec,
     ViolationReport,
     compare_methods,
-    min_eigenvalue_statistic,
+    min_eigenvalues,
+    moment_statistic,
     resample_values,
     significant,
     spread,
@@ -217,12 +218,12 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
 def cmd_moments(cfg: dict) -> dict:
     orders = range(MIN_MOMENT_ORDER, cfg["n_max"] + 1)
-    statistic = min_eigenvalue_statistic(*orders)
+    statistic = moment_statistic(*orders)
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    lam = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
+    moments = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
     rows = []
-    for n, point, row in zip(orders, statistic(data.x), lam):
+    for n, point, row in zip(orders, min_eigenvalues(statistic(data.x), orders), min_eigenvalues(moments, orders)):
         rep = ViolationReport.of("moment", {"n": n}, row)
         rows.append(
             {
@@ -297,7 +298,7 @@ def cmd_compare(cfg: dict) -> dict:
         orders = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--n-list expects comma-separated integers, got {cfg['n_list']!r}") from None
-    min_eigenvalue_statistic(*orders)  # checks the orders as compare_methods will
+    moment_statistic(*orders)  # checks the orders as compare_methods will
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     reports = compare_methods(data, cfg["sigma"], cfg["d"], orders, spec)

@@ -66,15 +66,18 @@ def summarize(x, p) -> MomentSummary:
     """
     if len(x) < 2 or len(p) < 2:
         raise UndefinedStatisticError("need at least two records per quadrature")
-    dx = x - x.mean()
-    dp = p - p.mean()
-    # products, not the generic pow (dx**4 is about 15x slower than s * s); numpy
-    # scalars, so an overflowing product gives inf where a float's power raises OverflowError
-    sx = dx * dx
-    var_x, var_p = sx.mean(), (dp * dp).mean()
+    # products, not the generic pow (dx**4 is about 15x slower than s * s), squared in place in
+    # the two centred arrays; numpy scalars, so an overflowing product gives inf where a float's
+    # power raises OverflowError
+    sx = x - x.mean()
+    sx *= sx
+    sp = p - p.mean()
+    sp *= sp
+    var_x, var_p = sx.mean(), sp.mean()
     if var_x == 0.0 or var_p == 0.0:
         raise UndefinedStatisticError("degenerate (constant) quadrature data")
-    kurt_x = (sx * sx).mean() / var_x**2
+    sx *= sx
+    kurt_x = sx.mean() / var_x**2
     if not np.isfinite([var_x, var_p, kurt_x]).all():
         raise UndefinedStatisticError("quadrature moments overflow; the summary is not finite")
     return MomentSummary(float(var_x), float(var_p), float(kurt_x))

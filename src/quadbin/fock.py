@@ -70,6 +70,8 @@ class FockDensityMatrix:
         m = np.asarray(self.mat)
         if m.shape != (self.cutoff + 1, self.cutoff + 1):
             raise ValueError(f"matrix shape {m.shape} does not match cutoff {self.cutoff}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         # entanglement_potential reads one triangle of each block it solves, so only rounding may break the symmetry
         asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(m), initial=0.0))):

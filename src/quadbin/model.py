@@ -12,6 +12,7 @@ fourth moments and is evaluated pointwise by Gauss-Hermite quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,12 +114,22 @@ def _gh_nodes(order: int = GH_ORDER):
     return t, w / np.sqrt(np.pi)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x):
+    # Standard-normal CDF 0.5 erfc(-x / sqrt 2), with the argument rounded as scipy's ndtr
+    # rounds it (x times sqrt 1/2), elementwise through math.erfc, so no process pays
+    # scipy.special's 0.3 s import for it. From about -38.4 to -37.7 it gives subnormals
+    # where ndtr gives 0.
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * -np.sqrt(0.5)), dtype=float)
+
+
 def _interval_mass(lo, hi):
     # Standard-normal mass of [lo, hi), evaluated from the nearer tail so the
     # difference never cancels catastrophically.
-    from scipy.special import ndtr  # imported here: scipy.special costs every other CLI process 0.3 s
-
-    return np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    upper = lo >= 0.0
+    return _ndtr(np.where(upper, -lo, hi)) - _ndtr(np.where(upper, -hi, lo))
 
 
 @dataclass(frozen=True)
@@ -156,11 +167,9 @@ class QuadratureDistribution:
 
     def cdf(self, x):
         """Cumulative distribution at ``x`` (scalar or array)."""
-        from scipy.special import ndtr
-
         v, w = self._node_variances()
         xa = np.asarray(x, dtype=float)
-        out = ndtr(xa[..., None] / np.sqrt(v)) @ w
+        out = _ndtr(xa[..., None] / np.sqrt(v)) @ w
         return out if xa.ndim else float(out)
 
     def bin_probabilities(self, sigma: float, m) -> np.ndarray:

@@ -31,6 +31,9 @@ from quadbin.stats import (
     ViolationReport,
     bootstrap,
     min_eigenvalue_statistic,
+    min_eigenvalues,
+    moment_statistic,
+    resample_values,
     three_bin_cells,
     three_bin_statistic,
 )
@@ -185,6 +188,16 @@ class TestNormallyOrderedMoments:
             expected = hermval(y, coeffs).mean() / 2.0 ** (j / 2.0)
             assert moms[j] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
+    def test_buffered_recurrence_is_bit_identical_to_the_expression_form(self):
+        x = np.random.default_rng(3).normal(0, 1.7, 5000)
+        y = x / np.sqrt(2.0)
+        h_prev, h_cur = np.ones_like(y), 2.0 * y
+        expected = [1.0, h_cur.mean() / 2.0**0.5]
+        for j in range(2, 15):
+            h_prev, h_cur = h_cur, 2.0 * y * h_cur - 2.0 * (j - 1) * h_prev
+            expected.append(h_cur.mean() / 2.0 ** (j / 2.0))
+        assert np.array_equal(normally_ordered_moments(x, 14), expected)
+
     def test_overflow_is_a_data_error(self):
         with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
             normally_ordered_moments(np.array([1e200, -1e200] * 4), 2)
@@ -200,6 +213,41 @@ class TestMomentMatrix:
     def test_nonfinite_moments_fail_the_residual_check(self, moments):
         with np.errstate(invalid="ignore"), pytest.raises(EigensolverError):
             moment_matrix_from_moments(moments, 2)
+
+    @pytest.mark.parametrize("j, bad", [(1, np.nan), (3, np.nan), (2, np.inf), (4, np.inf)])
+    def test_one_non_finite_row_fails_the_whole_stack(self, j, bad):
+        # NaN in the off-diagonal or inf on the diagonal makes LAPACK give up; the others fail the residual check
+        stack = np.tile([1.0, 0.1, 0.3, 0.2, 2.0], (6, 1))
+        assert moment_matrix_from_moments(stack, 3).shape == (6,)
+        stack[4, j] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(EigensolverError):
+                moment_matrix_from_moments(stack, 3)
+            with pytest.raises(EigensolverError):
+                moment_matrix_from_moments(stack[4], 3)
+
+    @pytest.mark.parametrize("n", range(MIN_MOMENT_ORDER, MAX_MOMENT_ORDER + 1))
+    def test_batched_stack_equals_the_per_row_calls(self, n):
+        data = sample_dataset(StateParams(0.5, 0.2, 0.3), 4000, seed=6)
+        statistic = moment_statistic(n)
+        moments = resample_values(BootstrapSpec(1000, 64, 5), [data.n], [0], lambda i: statistic(data.x[i]))
+        assert moments.shape == (2 * n - 1, 64)
+        batched = moment_matrix_from_moments(moments.T, n)
+        assert batched.shape == (64,)
+        assert np.array_equal(batched, [moment_matrix_from_moments(row, n) for row in moments.T])
+        (resampled,) = min_eigenvalues(moments, [n])
+        assert np.array_equal(resampled, batched)
+        # the point value is the float of one vector, as before
+        (point,) = min_eigenvalue_statistic(n)(data.x)
+        assert type(point) is float and point == moment_matrix_from_moments(statistic(data.x), n)
+
+    def test_overflowing_resamples_are_a_data_error(self):
+        x = np.array([1e200, -1e200] * 4)
+        statistic = moment_statistic(2, 3)
+        with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
+            resample_values(BootstrapSpec(4, 3, 1), [x.size], [0], lambda i: statistic(x[i]))
+        with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
+            min_eigenvalue_statistic(2, 3)(x)
 
     def test_exact_injection_two_by_two(self):
         v = 10**-0.23  # the -2.3 dB squeezed variance

@@ -66,6 +66,17 @@ class TestSummarize:
         assert s.var_p == pytest.approx(1.0, abs=0.02)
         assert s.kurt_x == pytest.approx(3.0, abs=0.05)
 
+    def test_squared_in_place_without_touching_the_input(self):
+        rng = np.random.default_rng(5)
+        x, p = rng.normal(0.1, 0.8, 4001), rng.normal(-0.2, 1.6, 3999)
+        kept = x.copy(), p.copy()
+        dx, dp = x - x.mean(), p - p.mean()
+        var_x = (dx * dx).mean()
+        expected = (var_x, (dp * dp).mean(), ((dx * dx) * (dx * dx)).mean() / var_x**2)
+        s = summarize(x, p)
+        assert (s.var_x, s.var_p, s.kurt_x) == expected
+        assert np.array_equal(x, kept[0]) and np.array_equal(p, kept[1])
+
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError):
             summarize(np.ones(10), np.ones(10))

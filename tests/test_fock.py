@@ -124,6 +124,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="not Hermitian"):
             FockDensityMatrix(2, np.diag([0.5, 0.5, 0.0]) + 0.1j * np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-j"])
+    def test_rejects_a_non_finite_entry(self, bad):
+        # NaN compares false against any tolerance, and an infinite pair makes the tolerance itself inf
+        for i, j in ((0, 0), (0, 1)):
+            mat = np.diag([0.5, 0.5]).astype(complex)
+            mat[i, j] = mat[j, i] = bad
+            with pytest.raises(ValueError, match="^density matrix has a non-finite entry$"):
+                FockDensityMatrix(1, mat)
+
     def test_rounding_asymmetry_is_accepted_and_solved_in_full(self):
         s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=8)
         mat = s.mat.copy()

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quadbin
+import quadbin.cli
 
 # every module but the command-line entry point is library API
 LIBRARY = [name for _, name, _ in pkgutil.iter_modules(quadbin.__path__) if name != "cli"]
@@ -49,7 +50,11 @@ def _scipy(modules: set[str]) -> list[str]:
 
 
 class TestScipyLoadedOnlyWhereItRuns:
-    """scipy.special is imported by the sampler and the bin-mass/cdf functions only, so other processes skip it."""
+    """scipy.special is imported by the sampler (``ndtri``) only, so every other process skips it.
+
+    The analytic columns of ``three-bin`` and ``sweep-sigma`` on a simulated file
+    take the normal CDF from ``math.erfc`` and load no scipy either.
+    """
 
     def test_importing_the_package_and_cli_loads_no_scipy(self, tmp_path):
         assert _scipy(_modules_loaded_by("import quadbin, quadbin.cli", tmp_path)) == []
@@ -67,6 +72,32 @@ class TestScipyLoadedOnlyWhereItRuns:
         (tmp_path / "rec.csv").write_text("theta,x\n" + rows)
         loaded = _modules_loaded_by(f"import quadbin.cli; assert quadbin.cli.main({argv!r}) == 0", tmp_path)
         assert _scipy(loaded) == []
+
+    @pytest.mark.parametrize(
+        "argv, analytic",
+        [
+            (["three-bin", "--in", "sim.csv", "--bootstrap", "5"], "payload['analytic']"),
+            (
+                ["sweep-sigma", "--in", "sim.csv", "--steps", "3", "--bootstrap", "5", "--out", "sweep.csv"],
+                "[row.split(',')[3] for row in open('sweep.csv').read().splitlines()[1:]]",
+            ),
+        ],
+        ids=["three-bin", "sweep-sigma"],
+    )
+    def test_analytic_columns_load_no_scipy(self, tmp_path, argv, analytic):
+        # simulated in this process, so the file has the sidecar that makes the analytic column
+        simulate = ["simulate", "--r", "0.5", "--loss", "0.1", "--delta", "0.1", "--n", "400", "--seed", "2"]
+        assert quadbin.cli.main([*simulate, "--out", str(tmp_path / "sim.csv")]) == 0
+        assert (tmp_path / "sim.meta.json").exists()
+        code = (
+            "import contextlib, io, json, quadbin.cli\n"
+            "out = io.StringIO()\n"
+            f"with contextlib.redirect_stdout(out):\n    assert quadbin.cli.main({argv!r}) == 0\n"
+            "payload = json.loads(out.getvalue())\n"
+            f"values = {analytic}\n"
+            "assert values and all(v not in (None, '') for v in (values if isinstance(values, list) else [values]))"
+        )
+        assert _scipy(_modules_loaded_by(code, tmp_path)) == []
 
     def test_simulate_does_load_scipy_special(self, tmp_path):
         argv = ["simulate", "--r", "0.3", "--n", "50", "--out", "sim.csv"]
