@@ -53,6 +53,8 @@ __all__ = [
 RNG_TAG = "pcg64/inverse-cdf"
 
 CSV_HEADER = "theta,x"
+_WRITE_BLOCK_ROWS = 1 << 14  # rows per write_csv block: CSV I/O memory is set by its blocks, not by the file
+_READ_BLOCK_CHARS = 1 << 20  # characters per read_csv parse, cut right after the next line feed
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +247,11 @@ def write_csv(data: Dataset, path) -> None:
     read_csv(write_csv(d)) reproduces d bit for bit.
     """
     path = Path(path)
-    lines = [CSV_HEADER]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(data.theta, data.x))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _meta_path(path).unlink(missing_ok=True)  # so a write cut short reads back as ingested, not as the old data
+        fh.write(CSV_HEADER + "\n")
+        for rows in (slice(i, i + _WRITE_BLOCK_ROWS) for i in range(0, data.n, _WRITE_BLOCK_ROWS)):
+            fh.write("".join(f"{t!r},{v!r}\n" for t, v in zip(data.theta[rows].tolist(), data.x[rows].tolist())))
     with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(dict(data.meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -268,31 +271,43 @@ def read_csv(path) -> Dataset:
     except UnicodeDecodeError as exc:
         line = exc.object[: exc.start].count(b"\n") + 1
         raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
+    head = text[: text.find("\n") + 1 or None].splitlines()  # the lines up to the first line feed
+    if not head or head[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
-    thetas, xs = _vectorized_columns(text, lines[1:]) or _line_columns(path, lines[1:])
+    thetas, xs = _vectorized_columns(text) or _line_columns(path, text.splitlines()[1:])
     return Dataset(thetas, xs, _read_sidecar(path))
 
 
-def _vectorized_columns(text: str, body: list[str]):
-    """Both columns of ``body`` from one np.loadtxt call, or None where the line loop must read it.
+def _vectorized_columns(text: str):
+    """Both columns of the body after the header, or None where the line loop must read it.
 
-    loadtxt skips empty lines and warns when no line is left, strips U+001F as
+    np.loadtxt parses one block of lines at a time. A block ends right after
+    the first line feed at least _READ_BLOCK_CHARS characters on, so no line
+    spans two blocks and together they hold the lines of splitlines(). loadtxt
+    skips empty lines and warns when no line is left, strips U+001F as
     whitespace where float() rejects it, and reads a line of one or three
-    fields as another shape. So a body of empty lines, a text with U+001F, and
-    every body that does not come back as one finite pair per line go to the
-    line loop, which owns every CsvFormatError. Passing the lines, not the
-    file, keeps the line splitting of splitlines().
+    fields as another shape. So a block of empty lines, a text with U+001F,
+    and every block that does not come back as one finite pair per line send
+    the whole file to the line loop, which owns every CsvFormatError. Passing
+    the lines, not the file, keeps the line splitting of splitlines().
     """
-    if not any(body) or "\x1f" in text:
+    if "\x1f" in text:
         return None
-    try:
-        records = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if records.shape != (len(body), 2) or not np.isfinite(records).all():
-        return None
+    parts, end = [], 0
+    while end < len(text):
+        start, end = end, text.find("\n", end + _READ_BLOCK_CHARS - 1) + 1 or len(text)
+        body = text[start:end].splitlines()[1 if start == 0 else 0 :]  # the first line of the text is the header
+        if not body:
+            continue
+        if not any(body):
+            return None
+        try:
+            parts.append(np.loadtxt(body, delimiter=",", comments=None, ndmin=2))
+        except ValueError:
+            return None
+        if parts[-1].shape != (len(body), 2) or not np.isfinite(parts[-1]).all():
+            return None
+    records = np.concatenate(parts or [np.empty((0, 2))])
     return records[:, 0], records[:, 1]
 
 

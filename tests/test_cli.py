@@ -65,11 +65,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_process(cwd, *argv):
+def run_process(cwd, *argv, preexec_fn=None):
     """Run ``python -m quadbin.cli`` as its own process, where numpy warnings reach stderr as they would for a user."""
     src = str(Path(quadbin.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "quadbin.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadbin.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        preexec_fn=preexec_fn,
+    )
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -141,6 +144,29 @@ class TestSimulate:
             capsys, "simulate", "--r", "0.2", "--loss", "1.4", "--out", str(tmp_path / "x.csv")
         )
         assert code == 1
+
+    def test_a_write_cut_short_leaves_no_sidecar_of_the_old_data(self, capsys, tmp_path):
+        """simulate over an old file, stopped by the file-size limit after 1000 rows: those rows read back as
+        ingested, where the old sidecar made three-bin report the old state's analytic ratio for them."""
+        resource = pytest.importorskip("resource")
+        full, out = tmp_path / "full.csv", tmp_path / "a.csv"
+        new = ["simulate", "--r", "0.2", "--n", "20000", "--seed", "4"]
+        assert run(capsys, *new, "--out", str(full))[0] == 0
+        assert run(capsys, "simulate", "--r", "1.0", "--n", "10", "--out", str(out))[0] == 0
+        size = len(b"".join(full.read_bytes().splitlines(keepends=True)[:1001]))  # the header and 1000 rows
+        code, _, err = run_process(
+            tmp_path, *new, "--out", str(out),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, size)),
+        )
+        assert code == 2 and json.loads(err)["error"]["message"] == "[Errno 27] File too large"
+        assert out.read_bytes() == full.read_bytes()[:size]
+        assert not (tmp_path / "a.meta.json").exists()
+        code, payload, _ = run(capsys, "three-bin", "--in", str(out), "--bootstrap", "20")
+        assert code == 0 and payload["analytic"] is None
+
+    def test_out_naming_a_directory_is_a_data_error(self, capsys):
+        code, _, err = run(capsys, "simulate", "--r", "0.2", "--n", "10", "--out", ".")
+        assert code == 2 and err["error"]["type"] == "IsADirectoryError"
 
 
 class TestThreeBinCommand:

@@ -1,7 +1,9 @@
 """Dataset tests: sampler fidelity, injection/selection pipeline, CSV round trips."""
 
+import errno
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import one_string_write_csv
 from scipy import stats as sps
 
 from quadbin import data as data_module
@@ -304,6 +307,92 @@ class TestCsv:
         assert simulation_params(d.meta) is None
 
 
+class FileFullAfter:
+    """An open text file whose writes fail with EFBIG after the first ``writes``, as past RLIMIT_FSIZE."""
+
+    def __init__(self, writes, fh):
+        self.writes, self.fh = writes, fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if self.writes == 0:
+            raise OSError(errno.EFBIG, "File too large")
+        self.writes -= 1
+        return self.fh.write(text)
+
+
+# theta and x values whose shortest repr is long, short, signed zero, subnormal or at the float range's ends
+EDGE_RECORDS = Dataset(
+    [0.1, -0.0, 5e-324, 1e308, -2.5e-07, 1e22, 123456789.0, 0.30000000000000004, math.pi],
+    [-1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -0.5, 0.0, 1e-05, 7.0, -math.e, 1e16],
+    {"source": "ingested", "path": "edge.csv"},
+)
+
+
+class TestBlockWrite:
+    """write_csv writes a block of rows at a time: the bytes of the one-string writer, and no stale sidecar."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9])  # 0, 1, B - 1, B, B + 1 and 2B + 1 rows at B = 4
+    def test_blocks_write_the_bytes_of_one_string(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(data_module, "_WRITE_BLOCK_ROWS", 4)
+        d = Dataset(EDGE_RECORDS.theta[:n], EDGE_RECORDS.x[:n], EDGE_RECORDS.meta)
+        write_csv(d, tmp_path / "blocks.csv")
+        one_string_write_csv(d, tmp_path / "one.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "blocks.meta.json").read_bytes() == (tmp_path / "one.meta.json").read_bytes()
+
+    def test_full_sized_blocks_write_the_bytes_of_one_string(self, tmp_path):
+        d = sample_dataset(StateParams(1.0409, 0.414, 0.15), 2 * data_module._WRITE_BLOCK_ROWS + 1, seed=3)
+        write_csv(d, tmp_path / "blocks.csv")
+        one_string_write_csv(d, tmp_path / "one.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_a_write_cut_short_reads_back_as_ingested(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        write_csv(sample_dataset(StateParams(1.0, 0.0, 0.0), 10, seed=1), path)
+        new = sample_dataset(StateParams(0.2, 0.0, 0.0), 10, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_WRITE_BLOCK_ROWS", 4)
+            patch.setattr(data_module, "open", lambda *args, **kw: FileFullAfter(2, open(*args, **kw)), raising=False)
+            with pytest.raises(OSError, match="File too large"):
+                write_csv(new, path)
+        # the header and one block of the new rows made it; the old dataset's sidecar did not survive them
+        assert not (tmp_path / "a.meta.json").exists()
+        back = read_csv(path)
+        assert back == Dataset(new.theta[:4], new.x[:4], {"source": "ingested", "path": str(path)})
+        assert simulation_params(back.meta) is None
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes tracemalloc saw it hold at its peak, above what was held before the call."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn(*args)
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+class TestCsvMemory:
+    """CSV I/O memory is set by its blocks, not by the file (7.4 MiB of text for 200k scan records)."""
+
+    def test_peaks_on_a_scan_sized_file(self, tmp_path):
+        d = sample_dataset(StateParams(1.0409, 0.414, 0.15), 200_000, seed=1, phase_window=math.pi)
+        path = tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            _, write_peak = traced_peak(write_csv, d, path)
+            back, read_peak = traced_peak(read_csv, path)
+        finally:
+            tracemalloc.stop()
+        assert back == d
+        assert write_peak < 4 * 2**20  # 32.9 MiB as one string: 200k line strings and two joined copies
+        assert read_peak < 20 * 2**20  # 31.8 MiB with one splitlines() list of the file; its text alone is 7.4 MiB
+
+
 def reference_read_csv(path) -> Dataset:
     """read_csv as one per-line loop, the form before the vectorized parse; the fast path must agree with it."""
     path = Path(path)
@@ -415,3 +504,26 @@ class TestVectorizedRead:
         monkeypatch.setattr(data_module, "_line_columns", no_loop)
         assert read_outcome(read_csv, path) == expected
         assert read_csv(path) == d
+
+
+class TestSmallReadBlocks(TestVectorizedRead):
+    """TestVectorizedRead again with the read cut into blocks of a few characters.
+
+    At 1 character every line feed ends a block, so cuts land just after the header, after each "\\r\\n", between
+    empty and bad lines and before a last line without a line feed; at 16 a block holds one to a few lines.
+    """
+
+    @pytest.fixture(scope="class", autouse=True, params=[1, 16])
+    def read_block(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "_READ_BLOCK_CHARS", request.param)
+            yield request.param
+
+    def test_blocks_end_right_after_a_line_feed(self, tmp_path, monkeypatch, read_block):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"theta,x\r\n0.5,1.0\r\n1.5,2.0\n2.5,3.0")
+        parsed, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda body, **kw: parsed.append(list(body)) or loadtxt(body, **kw))
+        assert read_csv(path) == Dataset([0.5, 1.5, 2.5], [1.0, 2.0, 3.0], {"source": "ingested", "path": str(path)})
+        blocks = {1: [["0.5,1.0"], ["1.5,2.0"], ["2.5,3.0"]], 16: [["0.5,1.0"], ["1.5,2.0", "2.5,3.0"]]}
+        assert parsed == blocks[read_block]
