@@ -53,12 +53,11 @@ from .stats import (
     BootstrapSpec,
     ViolationReport,
     compare_methods,
-    min_eigenvalues,
+    detector_reports,
     moment_statistic,
     resample_values,
     significant,
     spread,
-    three_bin_cells,
 )
 
 EXIT_OK = 0
@@ -157,18 +156,12 @@ def cmd_simulate(cfg: dict) -> dict:
 def _ratio_reports(cfg: dict, sigmas: list[float]) -> tuple[list[ViolationReport], list, list[float]]:
     """The ratio's report at each bin size in ``sigmas``, its population value (None unless the input names its
     state) and its value on the whole input; one resample stream serves every size, so neighbouring sizes are paired."""
-    d = cfg["d"]
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    ratio = three_bin_cells(data.x, sigmas, d)
-    values = resample_values(spec, [data.n], [0], ratio)
+    reports, points = detector_reports(data, spec, sigmas, cfg["d"])
     params = simulation_params(data.meta)
     dist = QuadratureDistribution(params, "x") if params is not None else None
-    return (
-        [ViolationReport.of("three-bin", {"sigma": s, "d": d}, row) for s, row in zip(sigmas, values)],
-        [analytic_three_bin_R(dist, s, d) if dist is not None else None for s in sigmas],
-        ratio(np.arange(data.n)),
-    )
+    return reports, [analytic_three_bin_R(dist, s, cfg["d"]) if dist is not None else None for s in sigmas], points
 
 
 def cmd_three_bin(cfg: dict) -> dict:
@@ -217,24 +210,14 @@ def cmd_sweep_sigma(cfg: dict) -> dict:
 
 
 def cmd_moments(cfg: dict) -> dict:
-    orders = range(MIN_MOMENT_ORDER, cfg["n_max"] + 1)
-    statistic = moment_statistic(*orders)
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
-    moments = resample_values(spec, [data.n], [0], lambda i: statistic(data.x[i]))
-    rows = []
-    for n, point, row in zip(orders, min_eigenvalues(statistic(data.x), orders), min_eigenvalues(moments, orders)):
-        rep = ViolationReport.of("moment", {"n": n}, row)
-        rows.append(
-            {
-                "n": n,
-                "lambda_point": point,
-                "lambda_mean": rep.mean,
-                "lambda_std": rep.std,
-                "v": rep.v,
-                "nonclassical": rep.detected,
-            }
-        )
+    reports, points = detector_reports(data, spec, orders=range(MIN_MOMENT_ORDER, cfg["n_max"] + 1))
+    rows = [
+        {"n": rep.params["n"], "lambda_point": point, "lambda_mean": rep.mean, "lambda_std": rep.std, "v": rep.v,
+         "nonclassical": rep.detected}
+        for rep, point in zip(reports, points)
+    ]
     return {"rows": rows}
 
 

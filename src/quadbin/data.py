@@ -226,9 +226,11 @@ def simulation_params(meta: Mapping) -> StateParams | None:
     """Forward-model parameters of a plain simulated dataset, if available.
 
     Returns None for ingested or transformed datasets: after injection or
-    selection the stored parameters no longer describe the record stream.
+    selection the stored parameters no longer describe the record stream. A
+    phase scan or a nonzero center measures another quadrature than x, so
+    those files get None too.
     """
-    if meta.get("source") != "simulated":
+    if meta.get("source") != "simulated" or meta.get("phase_window") != 0.0 or meta.get("center") != 0.0:
         return None
     try:
         return StateParams(float(meta["r"]), float(meta["loss"]), float(meta["delta"]))

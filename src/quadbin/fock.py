@@ -13,11 +13,11 @@ coherence is exactly zero. The states built here are also real (float64) and
 exactly symmetric, and then exchanging the two modes commutes with the partial
 transpose, so each parity block splits again into an exchange-symmetric and an
 exchange-antisymmetric block (441, 400, 420 and 420 states at cutoff 40).
-Those four blocks are gathered straight from the single-mode matrix, without
-the two-mode matrix; a two-mode state at cutoff 60 solves in about 0.2 s
-(2-vCPU Xeon, OpenBLAS). A complex or inexactly symmetric matrix
-passed in by a caller is split and transposed in full and solved by parity
-block alone.
+Every block is gathered straight from the single-mode matrix, never from a
+two-mode one (``beam_split_with_vacuum`` and ``partial_transpose`` build those
+as the tests' reference): a real state at cutoff 60 solves in about 0.2 s
+(2-vCPU Xeon, OpenBLAS), and a complex or inexactly symmetric matrix passed in
+by a caller is solved on its parity blocks alone.
 """
 
 from __future__ import annotations
@@ -88,9 +88,10 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
 
     Only even photon numbers are occupied; amplitudes alternate in sign,
     which puts the squeezing on the x quadrature. The weight lost to
-    truncation is reported in ``truncated_mass``.
+    truncation is reported in ``truncated_mass``; an r so large that none is
+    left (cosh r overflows) raises OverflowError.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
     check_cutoff(cutoff)
     c = np.zeros(cutoff + 1)
@@ -100,6 +101,8 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
         k = k2 // 2
         c[k2] = c[k2 - 2] * (-t) * np.sqrt((2.0 * k - 1.0) * (2.0 * k)) / (2.0 * k)
     norm2 = float(np.sum(c**2))
+    if not norm2 > 0.0:
+        raise OverflowError(f"squeezing r = {r!r} leaves no weight on Fock states 0..{cutoff} to renormalise")
     c /= np.sqrt(norm2)
     return FockDensityMatrix(cutoff, np.outer(c, c), truncated_mass=1.0 - norm2)
 
@@ -172,49 +175,54 @@ def partial_transpose(two: np.ndarray) -> np.ndarray:
     return np.transpose(two.reshape(nc1, nc1, nc1, nc1), (0, 3, 2, 1)).reshape(nc1**2, nc1**2)
 
 
-def _parity_classes(a: np.ndarray, b: np.ndarray, split: bool) -> list[np.ndarray]:
-    """Masks over the pairs (a, b): one class, or two by the parity of a + b when ``split``."""
-    return [(a + b) % 2 == p for p in (0, 1)] if split else [np.ones(a.size, bool)]
+def _transposed_blocks(mat: np.ndarray):
+    """The diagonal blocks of the split output's partial transpose, gathered straight from the single-mode ``mat``.
 
-
-def _exchange_blocks(mat: np.ndarray, split: bool) -> list[np.ndarray]:
-    """The exchange-symmetric and -antisymmetric blocks of the split output's partial transpose, per parity class.
-
-    For a real symmetric ``mat`` the partial transpose has the entry
+    For any Hermitian ``mat`` the partial transpose has the entry
     u(a) u(b) S[a + b', a' + b] u(a') u(b') at (a, b), (a', b'), with
     S = diag(h) rho diag(h) zero beyond the cutoff, h(n) = sqrt(n! / 2^n) and
-    u(k) = 1 / sqrt(k!). S is symmetric, so swapping the modes commutes with
-    it. On the basis |a, a> and (|a, b> +- |b, a>) / sqrt(2), a < b, the
-    symmetric block is G + G' and the antisymmetric block G - G', where G'
+    u(k) = 1 / sqrt(k!). Without odd coherences the pairs split by the parity
+    of a + b. A real, exactly symmetric ``mat`` gives a symmetric S, so
+    swapping the modes commutes with the transpose and each parity class
+    splits again: on the basis |a, a> and (|a, b> +- |b, a>) / sqrt(2), a < b,
+    the symmetric block is G + G' and the antisymmetric block G - G', where G'
     takes each column (a', b') at (b', a'); the rows and columns of |a, a>
-    carry a further 1 / sqrt(2) each. Each parity class (``_parity_classes``)
-    gives its own two blocks.
+    carry a further 1 / sqrt(2) each. The blocks are yielded one at a time.
     """
     nc = mat.shape[0] - 1
     width = 2 * nc + 1
+    n = np.arange(nc + 1)
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, nc + 1)])
-    h = np.sqrt(fact / 2.0 ** np.arange(nc + 1))
-    s = np.zeros((width, width))
+    h = np.sqrt(fact / 2.0 ** n)
+    s = np.zeros((width, width), np.result_type(mat, float))
     s[: nc + 1, : nc + 1] = mat * np.outer(h, h)
     s = s.ravel()
-    # pairs a < b first, then a = b, so each antisymmetric block is the leading square of its gather
-    a, b = np.triu_indices(nc + 1, 1)
-    a, b = np.r_[a, np.arange(nc + 1)], np.r_[b, np.arange(nc + 1)]
+    exchange = np.isrealobj(mat) and np.array_equal(mat, mat.T)
+    if exchange:
+        # pairs a < b first, then a = b, so each antisymmetric block is the leading square of its gather
+        a, b = np.triu_indices(nc + 1, 1)
+        a, b = np.r_[a, n], np.r_[b, n]
+    else:
+        a, b = np.divmod(np.arange((nc + 1) ** 2), nc + 1)
     u = 1.0 / np.sqrt(fact)
-    blocks = []
-    for cls in _parity_classes(a, b, split):
+    # the parity classes of a + b decouple when nothing connects them: no odd coherence
+    split = not mat[(n[:, None] - n[None, :]) % 2 == 1].any()
+    for cls in [(a + b) % 2 == p for p in (0, 1)] if split else [slice(None)]:
         ca, cb = a[cls], b[cls]
         # the flat index of S[a + b', a' + b] is a sum of one term per row and one per column
         row = ca * width + cb
         uu = u[ca] * u[cb]
-        diag = (ca == cb).astype(float)
+        diag = ((ca == cb) & exchange).astype(float)
         # exp2 gives the two diagonal-pair factors as exactly 1/2, which sqrt(1/2) squared is not
         scale = np.outer(uu, uu) * np.exp2(-0.5 * (diag[:, None] + diag[None, :]))
         g = s[row[:, None] + (cb * width + ca)[None, :]] * scale
+        if not exchange:
+            yield g
+            continue
         swapped = s[row[:, None] + row[None, :]] * scale
         m = np.count_nonzero(ca != cb)
-        blocks += [g + swapped, g[:m, :m] - swapped[:m, :m]]
-    return blocks
+        yield g + swapped
+        yield g[:m, :m] - swapped[:m, :m]
 
 
 def entanglement_potential(state: FockDensityMatrix) -> float:
@@ -224,17 +232,7 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    mat = np.asarray(state.mat)
-    n = np.arange(state.cutoff + 1)
-    # the parity classes of a + b decouple when nothing connects them: no odd coherence
-    split = not mat[(n[:, None] - n[None, :]) % 2 == 1].any()
-    if np.isrealobj(mat) and np.array_equal(mat, mat.T):
-        blocks = _exchange_blocks(mat, split)
-    else:
-        pt = partial_transpose(beam_split_with_vacuum(state))
-        a, b = np.divmod(np.arange(len(pt)), state.cutoff + 1)
-        blocks = [pt[np.ix_(idx, idx)] for idx in _parity_classes(a, b, split)]
-    vals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    vals = np.concatenate([np.linalg.eigvalsh(block) for block in _transposed_blocks(np.asarray(state.mat))])
     return float(np.log2(np.abs(vals).sum()))
 
 

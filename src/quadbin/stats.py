@@ -31,9 +31,9 @@ __all__ = [
     "three_bin_cells",
     "moment_statistic",
     "min_eigenvalues",
-    "min_eigenvalue_statistic",
     "spread",
     "significant",
+    "detector_reports",
     "compare_methods",
 ]
 
@@ -222,16 +222,6 @@ def min_eigenvalues(moments, orders) -> list:
     return [moment_matrix_from_moments(stack, n) for n in orders]
 
 
-def min_eigenvalue_statistic(*orders: int) -> Statistic:
-    """Smallest moment-matrix eigenvalue of each order in ``orders`` as a bootstrap statistic.
-
-    All orders share one moment estimate; the value holds one entry per order.
-    Every order is checked here, before any resample is drawn.
-    """
-    moments = moment_statistic(*orders)
-    return lambda x: min_eigenvalues(moments(x), orders)
-
-
 def spread(samples) -> float:
     """Divide-by-B standard deviation of the samples; exactly 0.0 when they differ only by rounding.
 
@@ -251,15 +241,33 @@ def significant(reports: list[ViolationReport]) -> list[ViolationReport]:
     return reports
 
 
-def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSpec) -> list[ViolationReport]:
-    """Paired comparison of the bin test and the moment method on one dataset.
+def detector_reports(data, spec: BootstrapSpec, sigmas=(), d: int = 1, orders=()) -> tuple[list, list]:
+    """Paired reports of the bin test at each size in ``sigmas`` and the moment method at each order in ``orders``.
 
-    Every method is evaluated on the identical resample index sets, so the
-    violation degrees are directly comparable.
+    One statistic, the ratio cells at every size followed by the moment vector, is resampled on stream 0, so
+    every row is judged on the identical index sets and a row does not depend on the others in the call.
+    Returns the ``ViolationReport`` rows (sizes first, then orders) and each one's value on the whole input.
     """
+    sigmas, orders = list(sigmas), list(orders)
+    parts = [three_bin_cells(data.x, sigmas, d)] if sigmas else []
+    if orders:
+        moments = moment_statistic(*orders)
+        parts.append(lambda i: moments(data.x[i]))
+
+    def stat(i: np.ndarray) -> list[float]:
+        return [value for part in parts for value in part(i)]
+
+    values = resample_values(spec, [data.n], [0], stat)
+    point, k = stat(np.arange(data.n)), len(sigmas)
+    points = [*point[:k], *min_eigenvalues(point[k:], orders)]
+    samples = [*values[:k], *min_eigenvalues(values[k:], orders)]
+    rows = [("three-bin", {"sigma": s, "d": d}) for s in sigmas] + [("moment", {"n": n}) for n in orders]
+    return [ViolationReport.of(method, params, row) for (method, params), row in zip(rows, samples)], points
+
+
+def compare_methods(data, sigma: float, d: int, moment_orders, spec: BootstrapSpec) -> list[ViolationReport]:
+    """The paired ``detector_reports`` of the bin test at ``sigma`` and each moment order, every one significant."""
     orders = sorted(set(int(n) for n in moment_orders))
-    ratio, moments = three_bin_cells(data.x, [sigma], d), moment_statistic(*orders)
-    values = resample_values(spec, [data.n], [0], lambda i: [*ratio(i), *moments(data.x[i])])
-    rows = [("three-bin", {"sigma": sigma, "d": d})] + [("moment", {"n": n}) for n in orders]
-    samples = [values[0], *min_eigenvalues(values[1:], orders)]
-    return significant([ViolationReport.of(m, p, v) for (m, p), v in zip(rows, samples)])
+    if not orders:
+        raise ValueError("need at least one moment order")
+    return significant(detector_reports(data, spec, [sigma], d, orders)[0])

@@ -129,6 +129,13 @@ class TestSampler:
         assert d.meta["source"] == "simulated"
         assert simulation_params(d.meta) == p
 
+    @pytest.mark.parametrize("window, center", [(np.pi, 0.0), (0.0, np.pi / 2), (0.3, 0.1)])
+    def test_scan_or_rotated_file_has_no_x_population(self, window, center):
+        # the stored (r, loss, delta) describe the x quadrature; a scan or a center measures another distribution
+        d = sample_dataset(StateParams(0.3, 0.2, 0.1), 10, seed=3, phase_window=window, center=center)
+        assert simulation_params(d.meta) is None
+        assert simulation_params({**d.meta, "phase_window": 0.0, "center": -0.0}) == StateParams(0.3, 0.2, 0.1)
+
 
 class TestInject:
     def test_zero_noise_is_identity(self):

@@ -30,7 +30,6 @@ from quadbin.stats import (
     BootstrapSpec,
     ViolationReport,
     bootstrap,
-    min_eigenvalue_statistic,
     min_eigenvalues,
     moment_statistic,
     resample_values,
@@ -238,7 +237,7 @@ class TestMomentMatrix:
         (resampled,) = min_eigenvalues(moments, [n])
         assert np.array_equal(resampled, batched)
         # the point value is the float of one vector, as before
-        (point,) = min_eigenvalue_statistic(n)(data.x)
+        (point,) = min_eigenvalues(statistic(data.x), [n])
         assert type(point) is float and point == moment_matrix_from_moments(statistic(data.x), n)
 
     def test_overflowing_resamples_are_a_data_error(self):
@@ -247,7 +246,7 @@ class TestMomentMatrix:
         with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
             resample_values(BootstrapSpec(4, 3, 1), [x.size], [0], lambda i: statistic(x[i]))
         with np.errstate(all="ignore"), pytest.raises(UndefinedStatisticError, match="moments overflow"):
-            min_eigenvalue_statistic(2, 3)(x)
+            min_eigenvalues(moment_statistic(2, 3)(x), [2, 3])
 
     def test_exact_injection_two_by_two(self):
         v = 10**-0.23  # the -2.3 dB squeezed variance
@@ -274,25 +273,25 @@ class TestMomentMatrix:
         for _ in range(30):
             scale = rng.uniform(0.7, 1.3)
             x = rng.normal(0, scale, 2000)
-            (lambda_min,) = min_eigenvalue_statistic(2)(x)
+            (lambda_min,) = min_eigenvalues(moment_statistic(2)(x), [2])
             var = float(((x - x.mean()) ** 2).mean())
             assert (lambda_min < CLASSICAL_LIMIT["moment"]) == (var < 1.0)
 
     def test_order_bounds(self):
         data = sample_dataset(StateParams(0.1, 0.0, 0.0), 100, seed=1)
         with pytest.raises(ValueError, match="matrix order must lie in"):
-            min_eigenvalue_statistic(1)(data.x)
+            min_eigenvalues(moment_statistic(1)(data.x), [1])
         with pytest.raises(ValueError, match="matrix order must lie in"):
-            min_eigenvalue_statistic(9)(data.x)
+            min_eigenvalues(moment_statistic(9)(data.x), [9])
 
     def test_orders_checked_when_the_statistic_is_built(self):
         # no moment of order 2e8 is ever computed
         with pytest.raises(ValueError, match="got 100000000"):
-            min_eigenvalue_statistic(2, 100_000_000)
+            moment_statistic(2, 100_000_000)
 
     def test_high_order_runs_with_residual_guard(self):
         data = sample_dataset(StateParams(0.8, 0.1, 0.4), 20_000, seed=8)
-        (lambda_min,) = min_eigenvalue_statistic(8)(data.x)
+        (lambda_min,) = min_eigenvalues(moment_statistic(8)(data.x), [8])
         assert np.isfinite(lambda_min)
 
 

@@ -1,6 +1,7 @@
 """Fock-space tests: channels against operator oracles, splitter against the literal sum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestSqueezedVacuum:
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             squeezed_vacuum_fock(-0.1)
+
+    @pytest.mark.parametrize("r", [1000.0, np.inf])
+    def test_no_weight_left_is_a_numeric_error_naming_r_and_cutoff(self, r):
+        # cosh r overflows, so every amplitude is 0 and nothing is left to renormalise
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match=rf"^squeezing r = {r!r} .* 0\.\.12 "):
+            squeezed_vacuum_fock(r, cutoff=12)
 
     @pytest.mark.parametrize("cutoff", [-1, MAX_CUTOFF + 1, 100_000])
     def test_rejects_cutoff_outside_range_before_any_channel(self, cutoff):
@@ -374,6 +381,21 @@ class TestEntanglementPotential:
         rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
         pt = partial_transpose(beam_split_with_vacuum(rotated))
         assert np.max(np.abs(pt[np.ix_(swap, swap)] - pt)) > 1e-3
+
+    def test_complex_state_is_solved_without_the_two_mode_matrix(self):
+        # the anchor state rotated by 0.7 rad: the parity blocks are gathered from the single-mode matrix
+        s = state_from_params(StateParams(1.0409, 0.414, 0.15), cutoff=40)
+        n = np.arange(s.cutoff + 1)
+        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        tracemalloc.start()
+        try:
+            ep = entanglement_potential(rotated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        two_mode_bytes = (s.cutoff + 1) ** 4 * np.dtype(complex).itemsize  # 43.1 MiB
+        assert peak < two_mode_bytes
+        assert ep == pytest.approx(entanglement_potential(s), abs=1e-12)
 
     def test_positive_under_strong_dephasing(self):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)

@@ -17,7 +17,7 @@ from quadbin.stats import (
     ViolationReport,
     bootstrap,
     compare_methods,
-    min_eigenvalue_statistic,
+    detector_reports,
     resample_indices,
     resample_values,
     significant,
@@ -274,6 +274,21 @@ class TestCompareMethods:
         assert reports[0].mean == pytest.approx(np.mean(r_vals), abs=0.0)
         assert reports[1].mean == pytest.approx(np.mean(l2), abs=0.0)
         assert reports[2].mean == pytest.approx(np.mean(l4), abs=0.0)
+
+    @pytest.mark.parametrize("mode", [SUBSAMPLE, REPLACEMENT])
+    def test_detector_rows_are_paired_across_calls(self, mode):
+        # every row is resampled on stream 0, so a row does not depend on which other rows share its call
+        data = sample_dataset(StateParams(0.8, 0.3, 0.25), 6_000, seed=92)
+        spec = BootstrapSpec(None, 25, 3, mode)
+        sigmas, orders = [0.6, 1.0, 1.7], [2, 3, 5]
+        both, both_points = detector_reports(data, spec, sigmas, 2, orders)
+        ratio, ratio_points = detector_reports(data, spec, sigmas, 2)
+        moment, moment_points = detector_reports(data, spec, orders=orders)
+        assert [rep.method for rep in both] == ["three-bin"] * 3 + ["moment"] * 3
+        assert [rep.params for rep in both] == [{"sigma": s, "d": 2} for s in sigmas] + [{"n": n} for n in orders]
+        assert both == ratio + moment
+        assert both_points == ratio_points + moment_points
+        assert compare_methods(data, 1.0, 2, [5, 2, 3, 2], spec) == [both[1], *moment]
 
     def test_same_seed_identical_reports(self):
         data = sample_dataset(StateParams(0.6, 0.2, 0.3), 5_000, seed=91)
