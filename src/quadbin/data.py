@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -276,48 +277,41 @@ def read_csv(path) -> Dataset:
     head = text[: text.find("\n") + 1 or None].splitlines()  # the lines up to the first line feed
     if not head or head[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
-    thetas, xs = _vectorized_columns(text) or _line_columns(path, text.splitlines()[1:])
-    return Dataset(thetas, xs, _read_sidecar(path))
+    records = np.concatenate([np.empty((0, 2)), *_blocks(path, text)])
+    return Dataset(records[:, 0], records[:, 1], _read_sidecar(path))
 
 
-def _vectorized_columns(text: str):
-    """Both columns of the body after the header, or None where the line loop must read it.
+def _blocks(path: Path, text: str):
+    """The (theta, x) rows after the header: one array per block of lines.
 
-    np.loadtxt parses one block of lines at a time. A block ends right after
-    the first line feed at least _READ_BLOCK_CHARS characters on, so no line
-    spans two blocks and together they hold the lines of splitlines(). loadtxt
-    skips empty lines and warns when no line is left, strips U+001F as
-    whitespace where float() rejects it, and reads a line of one or three
-    fields as another shape. So a block of empty lines, a text with U+001F,
-    and every block that does not come back as one finite pair per line send
-    the whole file to the line loop, which owns every CsvFormatError. Passing
-    the lines, not the file, keeps the line splitting of splitlines().
+    A block ends right after the first line feed at least _READ_BLOCK_CHARS
+    characters on, so together the blocks hold the lines of splitlines().
+    loadtxt skips empty lines, strips U+001F where float() rejects it, and
+    reads one or three fields as another shape; so a block with an empty line
+    or a U+001F, or whose one np.loadtxt call is not one finite pair per line,
+    goes alone to the line loop, the owner of every CsvFormatError. loadtxt
+    accepts no block the line loop rejects, so the first bad line is reported.
     """
-    if "\x1f" in text:
-        return None
-    parts, end = [], 0
+    end, first = 0, 2
     while end < len(text):
         start, end = end, text.find("\n", end + _READ_BLOCK_CHARS - 1) + 1 or len(text)
-        body = text[start:end].splitlines()[1 if start == 0 else 0 :]  # the first line of the text is the header
-        if not body:
+        lines = text[start:end].splitlines()[1 if start == 0 else 0 :]  # the first line of the text is the header
+        if not lines:
             continue
-        if not any(body):
-            return None
-        try:
-            parts.append(np.loadtxt(body, delimiter=",", comments=None, ndmin=2))
-        except ValueError:
-            return None
-        if parts[-1].shape != (len(body), 2) or not np.isfinite(parts[-1]).all():
-            return None
-    records = np.concatenate(parts or [np.empty((0, 2))])
-    return records[:, 0], records[:, 1]
+        block = None
+        if all(lines) and text.find("\x1f", start, end) < 0:
+            with suppress(ValueError):
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if block is None or block.shape != (len(lines), 2) or not np.isfinite(block).all():
+            block = _line_records(path, lines, first)
+        yield block
+        first += len(lines)
 
 
-def _line_columns(path: Path, body: list[str]):
-    """Both columns of ``body`` parsed line by line; CsvFormatError at the first bad line."""
-    thetas = np.empty(len(body))
-    xs = np.empty(len(body))
-    for i, line in enumerate(body, start=2):
+def _line_records(path: Path, lines: list[str], first: int) -> np.ndarray:
+    """The (theta, x) rows of ``lines`` (from file line ``first``) one by one; CsvFormatError at the first bad line."""
+    records = np.empty((len(lines), 2))
+    for i, line in enumerate(lines, start=first):
         parts = line.split(",")
         if len(parts) != 2:
             raise CsvFormatError(f"{path}: line {i}: expected two comma-separated fields", line=i)
@@ -327,8 +321,8 @@ def _line_columns(path: Path, body: list[str]):
             raise CsvFormatError(f"{path}: line {i}: could not parse {line!r}", line=i) from None
         if not (math.isfinite(t) and math.isfinite(v)):
             raise CsvFormatError(f"{path}: line {i}: non-finite value", line=i)
-        thetas[i - 2], xs[i - 2] = t, v
-    return thetas, xs
+        records[i - first] = t, v
+    return records
 
 
 def _read_sidecar(path: Path) -> dict:

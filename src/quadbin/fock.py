@@ -88,8 +88,8 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
 
     Only even photon numbers are occupied; amplitudes alternate in sign,
     which puts the squeezing on the x quadrature. The weight lost to
-    truncation is reported in ``truncated_mass``; an r so large that none is
-    left (cosh r overflows) raises OverflowError.
+    truncation is reported in ``truncated_mass``; an r so large that the
+    kept weight rounds to nothing next to 1 raises OverflowError.
     """
     if not r >= 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r!r}")
@@ -101,7 +101,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
         k = k2 // 2
         c[k2] = c[k2 - 2] * (-t) * np.sqrt((2.0 * k - 1.0) * (2.0 * k)) / (2.0 * k)
     norm2 = float(np.sum(c**2))
-    if not norm2 > 0.0:
+    if not 1.0 - norm2 < 1.0:
         raise OverflowError(f"squeezing r = {r!r} leaves no weight on Fock states 0..{cutoff} to renormalise")
     c /= np.sqrt(norm2)
     return FockDensityMatrix(cutoff, np.outer(c, c), truncated_mass=1.0 - norm2)

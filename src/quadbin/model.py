@@ -108,9 +108,9 @@ def kurtosis_x(params: StateParams) -> float:
     return float(3.0 + excess)
 
 
-@lru_cache(maxsize=8)
-def _gh_nodes(order: int = GH_ORDER):
-    t, w = hermgauss(order)
+@lru_cache(maxsize=1)
+def _gh_nodes():
+    t, w = hermgauss(GH_ORDER)
     return t, w / np.sqrt(np.pi)
 
 

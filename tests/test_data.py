@@ -399,6 +399,22 @@ class TestCsvMemory:
         assert write_peak < 4 * 2**20  # 32.9 MiB as one string: 200k line strings and two joined copies
         assert read_peak < 20 * 2**20  # 31.8 MiB with one splitlines() list of the file; its text alone is 7.4 MiB
 
+    def test_a_bad_last_line_is_read_in_its_block(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        write_csv(sample_dataset(StateParams(1.0409, 0.414, 0.15), 200_000, seed=1, phase_window=math.pi), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0.5,oops\n")
+        tracemalloc.start()  # the peak below is what read_csv held: nothing else is traced
+        try:
+            with pytest.raises(CsvFormatError) as err:
+                read_csv(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: line 200002: could not parse '0.5,oops'"
+        assert err.value.line == 200_002
+        assert read_peak < 20 * 2**20  # 28.5 MiB when the whole file went back to the line loop as one splitlines() list
+
 
 def reference_read_csv(path) -> Dataset:
     """read_csv as one per-line loop, the form before the vectorized parse; the fast path must agree with it."""
@@ -505,10 +521,10 @@ class TestVectorizedRead:
         write_csv(d, path)
         expected = read_outcome(reference_read_csv, path)
 
-        def no_loop(path, body):
+        def no_loop(path, lines, first):
             raise AssertionError("a file write_csv wrote went to the line loop")
 
-        monkeypatch.setattr(data_module, "_line_columns", no_loop)
+        monkeypatch.setattr(data_module, "_line_records", no_loop)
         assert read_outcome(read_csv, path) == expected
         assert read_csv(path) == d
 

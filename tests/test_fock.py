@@ -102,6 +102,12 @@ class TestSqueezedVacuum:
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match=rf"^squeezing r = {r!r} .* 0\.\.12 "):
             squeezed_vacuum_fock(r, cutoff=12)
 
+    @pytest.mark.parametrize("r", [50.0, 709.0])
+    def test_weight_rounding_to_nothing_next_to_one_is_a_numeric_error(self, r):
+        # cosh r is finite, but what cutoff 4 keeps is below 1e-20: renormalising it would scale up a rounding remnant
+        with pytest.raises(OverflowError, match=rf"^squeezing r = {r!r} .* 0\.\.4 "):
+            squeezed_vacuum_fock(r, cutoff=4)
+
     @pytest.mark.parametrize("cutoff", [-1, MAX_CUTOFF + 1, 100_000])
     def test_rejects_cutoff_outside_range_before_any_channel(self, cutoff):
         # a loss channel at cutoff 100000 would first build a 10^10-entry binomial table
