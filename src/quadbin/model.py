@@ -119,9 +119,9 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def _ndtr(x):
     # Standard-normal CDF 0.5 erfc(-x / sqrt 2), with the argument rounded as scipy's ndtr
-    # rounds it (x times sqrt 1/2), elementwise through math.erfc, so no process pays
-    # scipy.special's 0.3 s import for it. From about -38.4 to -37.7 it gives subnormals
-    # where ndtr gives 0.
+    # rounds it (x times sqrt 1/2), elementwise through math.erfc; with the sampler's ndtri
+    # port (data), no process pays scipy.special's 0.3 s import. From about -38.4 to -37.7
+    # it gives subnormals where ndtr gives 0.
     return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * -np.sqrt(0.5)), dtype=float)
 
 

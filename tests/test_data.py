@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import one_string_write_csv
 from scipy import stats as sps
+from scipy.special import ndtri
 
 from quadbin import data as data_module
 from quadbin.data import (
@@ -135,6 +136,54 @@ class TestSampler:
         d = sample_dataset(StateParams(0.3, 0.2, 0.1), 10, seed=3, phase_window=window, center=center)
         assert simulation_params(d.meta) is None
         assert simulation_params({**d.meta, "phase_window": 0.0, "center": -0.0}) == StateParams(0.3, 0.2, 0.1)
+
+
+def _ndtri_edge_points() -> np.ndarray:
+    # 2^-k and 1 - 2^-k, the branch cuts e^-2, 1 - e^-2 and e^-32, and the neighbours of each, inside (0, 1)
+    points = [2.0**-k for k in range(1, 54)] + [1.0 - 2.0**-k for k in range(1, 54)]
+    points = np.array(points + [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)])
+    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return np.unique(points[(points > 0.0) & (points < 1.0)])
+
+
+def _cephes_branch(y: np.ndarray) -> np.ndarray:
+    # which rational Cephes evaluates at each y: 0 central, 1 tail with x < 8, 2 tail with x >= 8
+    t = np.where(y > 1.0 - 0.13533528323661269189, 1.0 - y, y)
+    x = np.sqrt(-2.0 * np.array([math.log(v) for v in t]))
+    return np.where(t > 0.13533528323661269189, 0, np.where(x < 8.0, 1, 2))
+
+
+class TestInverseNormalCdf:
+    """The sampler's Cephes ``ndtri`` port against ``scipy.special.ndtri``, bit for bit.
+
+    The coefficients are typed in from Cephes; this comparison is what proves them.
+    Both sides call the platform's libm ``log``, so a platform whose scipy links
+    another one shows up here.
+    """
+
+    @staticmethod
+    def assert_bit_equal(y, got, want):
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"{differ.size} of {y.size} differ; first: y = {y[differ[0]]!r}, "
+            f"port {got[differ[0]]!r}, scipy {want[differ[0]]!r}"
+        )
+
+    def test_seeded_uniforms_as_the_sampler_draws_them(self):
+        n = 1_000_000  # not a multiple of the port's block, so the short last block is covered too
+        u = np.clip(np.random.default_rng(20240611).random(n), 2.0**-53, None)
+        self.assert_bit_equal(u, data_module._standard_normal(np.random.default_rng(20240611), n), ndtri(u))
+
+    def test_edge_points_and_every_branch(self):
+        # the sampler reaches x >= 8 (y < e^-32) only at its edge points, so the far tail gets seeded points of its own
+        deep = 2.0 ** -np.random.default_rng(7).uniform(46.2, 1022.0, 10_000)
+        y = np.concatenate([_ndtri_edge_points(), deep])
+        got = y.copy()
+        data_module._ndtri_inplace(got)
+        want = ndtri(y)
+        self.assert_bit_equal(y, got, want)
+        hit = set(zip(_cephes_branch(y).tolist(), np.sign(want).tolist()))
+        assert {(b, s) for b in (0, 1, 2) for s in (-1.0, 1.0)} <= hit
 
 
 class TestInject:

@@ -49,8 +49,8 @@ def _scipy(modules: set[str]) -> list[str]:
     return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
 
 
-class TestScipyLoadedOnlyWhereItRuns:
-    """scipy.special is imported by the sampler (``ndtri``) only, so every other process skips it.
+class TestNoCommandLoadsScipy:
+    """No process loads scipy: the sampler's ``ndtri`` is a port of Cephes on ``math.log``.
 
     The analytic columns of ``three-bin`` and ``sweep-sigma`` on a simulated file
     take the normal CDF from ``math.erfc`` and load no scipy either.
@@ -64,10 +64,12 @@ class TestScipyLoadedOnlyWhereItRuns:
         [
             ["select", "--in", "rec.csv", "--center", "0", "--half-width", "0.5", "--out", "kept.csv"],
             ["moments", "--in", "rec.csv", "--bootstrap", "5"],
+            ["simulate", "--r", "0.3", "--delta", "0.1", "--n", "50", "--out", "sim.csv"],
+            ["inject", "--in", "rec.csv", "--delta-e", "0.3", "--seed", "9", "--out", "noisy.csv"],
         ],
-        ids=["select", "moments"],
+        ids=["select", "moments", "simulate", "inject"],
     )
-    def test_a_command_without_ndtr_loads_no_scipy(self, tmp_path, argv):
+    def test_a_command_loads_no_scipy(self, tmp_path, argv):
         rows = "".join(f"{0.1 * i - 1.0!r},{(-1.0) ** i * 0.3 * i!r}\n" for i in range(20))
         (tmp_path / "rec.csv").write_text("theta,x\n" + rows)
         loaded = _modules_loaded_by(f"import quadbin.cli; assert quadbin.cli.main({argv!r}) == 0", tmp_path)
@@ -98,8 +100,3 @@ class TestScipyLoadedOnlyWhereItRuns:
             "assert values and all(v not in (None, '') for v in (values if isinstance(values, list) else [values]))"
         )
         assert _scipy(_modules_loaded_by(code, tmp_path)) == []
-
-    def test_simulate_does_load_scipy_special(self, tmp_path):
-        argv = ["simulate", "--r", "0.3", "--n", "50", "--out", "sim.csv"]
-        loaded = _modules_loaded_by(f"import quadbin.cli; assert quadbin.cli.main({argv!r}) == 0", tmp_path)
-        assert "scipy.special" in loaded
