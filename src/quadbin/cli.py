@@ -140,13 +140,14 @@ def cmd_simulate(cfg: dict) -> dict:
     params = StateParams(cfg["r"], cfg["loss"], cfg["delta"])
     data = sample_dataset(params, cfg["n"], cfg["seed"], cfg["phase_window"], cfg["center"])
     write_csv(data, cfg["out"])
+    var_x = float(np.var(data.x))  # 0 for a single record, whose variance in dB is undefined
     return {
         "n": data.n,
         "out": cfg["out"],
         "r": params.r,
         "loss": params.loss,
         "delta": params.delta,
-        "var_x_db": db_from_variance(float(np.var(data.x))),
+        "var_x_db": db_from_variance(var_x) if var_x > 0.0 else None,
     }
 
 

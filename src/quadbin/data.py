@@ -108,44 +108,30 @@ def _rng(seed: int) -> np.random.Generator:
 
 # Cephes ndtri, the inverse normal CDF scipy.special ships, with its coefficients:
 # P0/Q0 on y in (e^-2, 1 - e^-2), P1/Q1 on the tails down to e^-32, P2/Q2 beyond.
-# Q* omit their leading 1.0 (p1evl).
+# np.polyval is Cephes' Horner loop started from 0 (0 * x + c0 = c0, 1.0 * x = x), so it rounds as Cephes does.
 _S2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
        1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
        -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
        1.59056225126211695515e1, -1.18331621121330003142e0)
 _P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
        4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
        -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
        1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
        -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
        1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
        3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 _NDTRI_BLOCK = 1 << 14  # elements per in-place ndtri pass: the sampler's temporaries are set by it, not by n
 
 # libm's log, elementwise, as Cephes calls it: numpy's SIMD log differs from it in the last ulp
 _log = np.frompyfunc(math.log, 1, 1)
-
-
-def _polevl(x, coef):
-    ans = coef[0] * x + coef[1]
-    for c in coef[2:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def _ndtri_inplace(y: np.ndarray) -> None:
@@ -155,16 +141,12 @@ def _ndtri_inplace(y: np.ndarray) -> None:
     central = t > _EXP_M2
     c = t[central] - 0.5
     c2 = c * c
-    mid = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
+    mid = (c + c * (c2 * np.polyval(_P0, c2) / np.polyval(_Q0, c2))) * _S2PI
     tail = ~central
     x = np.sqrt(-2.0 * np.asarray(_log(t[tail]), dtype=float))
     x0 = x - np.asarray(_log(x), dtype=float) / x
     z = 1.0 / x
-    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    far = x >= 8.0
-    if far.any():
-        zf = z[far]
-        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    x1 = np.where(x < 8.0, z * np.polyval(_P1, z) / np.polyval(_Q1, z), z * np.polyval(_P2, z) / np.polyval(_Q2, z))
     y[central] = mid
     y[tail] = np.where(flip[tail], x0 - x1, x1 - x0)
 
@@ -338,7 +320,7 @@ def read_csv(path) -> Dataset:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        line = len((exc.object[: exc.start].decode("utf-8") + "\0").splitlines())  # numbered as the parser numbers
         raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
     head = text[: text.find("\n") + 1 or None].splitlines()  # the lines up to the first line feed
     if not head or head[0].strip() != CSV_HEADER:

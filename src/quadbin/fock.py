@@ -23,7 +23,7 @@ by a caller is solved on its parity blocks alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,31 +56,36 @@ def check_cutoff(cutoff: int) -> int:
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Single-mode density matrix on Fock states 0..cutoff.
+    """Single-mode density matrix on Fock states 0..cutoff, where ``cutoff`` is ``len(mat) - 1``.
 
+    ``mat`` is kept as a read-only float or complex copy of the matrix given.
     ``truncated_mass`` is the probability weight that fell above the cutoff
     before renormalization.
     """
 
-    cutoff: int
     mat: np.ndarray
     truncated_mass: float = 0.0
 
     def __post_init__(self):
-        m = np.asarray(self.mat)
-        if m.shape != (self.cutoff + 1, self.cutoff + 1):
-            raise ValueError(f"matrix shape {m.shape} does not match cutoff {self.cutoff}")
+        m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"density matrix must be square and non-empty, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
         # entanglement_potential reads one triangle of each block it solves, so only rounding may break the symmetry
-        asym = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(m), initial=0.0))):
+        asym = float(np.max(np.abs(m - m.conj().T)))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError(f"density matrix is not Hermitian: largest |rho - rho^H| entry is {asym:.3g}")
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.mat) - 1
 
     @property
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityMatrix:
@@ -104,7 +109,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     if not 1.0 - norm2 < 1.0:
         raise OverflowError(f"squeezing r = {r!r} leaves no weight on Fock states 0..{cutoff} to renormalise")
     c /= np.sqrt(norm2)
-    return FockDensityMatrix(cutoff, np.outer(c, c), truncated_mass=1.0 - norm2)
+    return FockDensityMatrix(np.outer(c, c), truncated_mass=1.0 - norm2)
 
 
 def _comb_table(cutoff: int) -> np.ndarray:
@@ -124,14 +129,14 @@ def apply_loss(state: FockDensityMatrix, loss: float) -> FockDensityMatrix:
     if loss == 0.0:
         return state
     nc = state.cutoff
-    out = np.zeros(state.mat.shape, np.result_type(state.mat, float))
+    out = np.zeros(state.mat.shape, state.mat.dtype)
     eta = 1.0 - loss
     comb = _comb_table(nc)
     for k in range(nc + 1):
         n = np.arange(nc + 1 - k)
         amp = np.sqrt(comb[n + k, k]) * eta ** (n / 2.0) * loss ** (k / 2.0)
         out[: nc + 1 - k, : nc + 1 - k] += np.outer(amp, amp) * state.mat[k:, k:]
-    return FockDensityMatrix(nc, out, state.truncated_mass)
+    return replace(state, mat=out)
 
 
 def apply_phase_diffusion(state: FockDensityMatrix, delta: float) -> FockDensityMatrix:
@@ -142,7 +147,7 @@ def apply_phase_diffusion(state: FockDensityMatrix, delta: float) -> FockDensity
         return state
     n = np.arange(state.cutoff + 1)
     damp = np.exp(-0.5 * delta**2 * (n[:, None] - n[None, :]) ** 2)
-    return FockDensityMatrix(state.cutoff, state.mat * damp, state.truncated_mass)
+    return replace(state, mat=state.mat * damp)
 
 
 def state_from_params(params: StateParams, cutoff: int = DEFAULT_CUTOFF) -> FockDensityMatrix:
@@ -166,7 +171,7 @@ def beam_split_with_vacuum(state: FockDensityMatrix) -> np.ndarray:
     preserved exactly.
     """
     t = _bs_isometry(state.cutoff)
-    return t @ np.asarray(state.mat) @ t.T
+    return t @ state.mat @ t.T
 
 
 def partial_transpose(two: np.ndarray) -> np.ndarray:
@@ -194,7 +199,7 @@ def _transposed_blocks(mat: np.ndarray):
     n = np.arange(nc + 1)
     fact = np.cumprod(np.r_[1.0, np.arange(1.0, nc + 1)])
     h = np.sqrt(fact / 2.0 ** n)
-    s = np.zeros((width, width), np.result_type(mat, float))
+    s = np.zeros((width, width), mat.dtype)
     s[: nc + 1, : nc + 1] = mat * np.outer(h, h)
     s = s.ravel()
     exchange = np.isrealobj(mat) and np.array_equal(mat, mat.T)
@@ -232,7 +237,7 @@ def entanglement_potential(state: FockDensityMatrix) -> float:
     transpose of the two-mode output; 0 exactly for the vacuum and any state
     whose split output stays positive under partial transposition.
     """
-    vals = np.concatenate([np.linalg.eigvalsh(block) for block in _transposed_blocks(np.asarray(state.mat))])
+    vals = np.concatenate([np.linalg.eigvalsh(block) for block in _transposed_blocks(state.mat)])
     return float(np.log2(np.abs(vals).sum()))
 
 
@@ -243,7 +248,7 @@ def quadrature_variance(state: FockDensityMatrix, axis: str = "x") -> float:
     (<x^2> = 2 Re<a^2> + 2<n> + 1, with the sign of the Re<a^2> term flipped
     for p), so the only inaccuracy is the state's own truncated tail.
     """
-    mat = np.asarray(state.mat)
+    mat = state.mat
     n = np.arange(state.cutoff + 1)
     mean_n = float(np.sum(np.diag(mat).real * n))
     a1 = complex(np.sum(np.sqrt(n[1:]) * np.diag(mat, k=-1)))

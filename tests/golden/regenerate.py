@@ -49,7 +49,6 @@ _NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 def environment() -> dict:
     """The versions and CPU dispatch targets that decide the last bits of every float."""
     import numpy
-    import scipy
 
     try:
         from numpy._core import _multiarray_umath as umath
@@ -58,7 +57,6 @@ def environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "machine": platform.machine(),
         "cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
     }

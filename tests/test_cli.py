@@ -113,6 +113,13 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == blob1
         assert (tmp_path / "a.meta.json").read_bytes() == meta1
 
+    def test_a_single_record_has_no_variance_in_db(self, capsys, tmp_path):
+        out = tmp_path / "one.csv"
+        code, payload, _ = run(capsys, "simulate", "--r", "0.3", "--n", "1", "--seed", "5", "--out", str(out))
+        assert code == 0
+        assert payload["n"] == 1 and payload["var_x_db"] is None
+        assert read_csv(out).n == 1
+
     def test_target_db_reaches_requested_variance(self, capsys, tmp_path):
         code, payload, _ = run(
             capsys, "simulate", "--target-db", "-2.3", "--loss", "0.37", "--delta", "0.15",

@@ -340,9 +340,10 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             read_csv(path)
 
-    def test_undecodable_bytes_report_line(self, tmp_path):
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_bytes_report_line(self, tmp_path, eol):
         path = tmp_path / "bad.csv"
-        path.write_bytes(b"theta,x\n0.0,1.0\n0.5,\xff\n")
+        path.write_bytes(eol.join([b"theta,x", b"0.0,1.0", b"0.5,\xff", b""]))
         with pytest.raises(CsvFormatError) as err:
             read_csv(path)
         assert err.value.line == 3

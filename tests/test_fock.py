@@ -133,9 +133,9 @@ class TestDensityMatrix:
         mat = np.diag([0.5, 0.5, 0.0])
         mat[0, 1] = 0.25
         with pytest.raises(ValueError, match=r"not Hermitian: largest \|rho - rho\^H\| entry is 0\.25$"):
-            FockDensityMatrix(2, mat)
+            FockDensityMatrix(mat)
         with pytest.raises(ValueError, match="not Hermitian"):
-            FockDensityMatrix(2, np.diag([0.5, 0.5, 0.0]) + 0.1j * np.eye(3))
+            FockDensityMatrix(np.diag([0.5, 0.5, 0.0]) + 0.1j * np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-j"])
     def test_rejects_a_non_finite_entry(self, bad):
@@ -144,13 +144,35 @@ class TestDensityMatrix:
             mat = np.diag([0.5, 0.5]).astype(complex)
             mat[i, j] = mat[j, i] = bad
             with pytest.raises(ValueError, match="^density matrix has a non-finite entry$"):
-                FockDensityMatrix(1, mat)
+                FockDensityMatrix(mat)
+
+    def test_a_list_built_state_acts_as_the_array_built_one(self):
+        s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=8)
+        listed = FockDensityMatrix(s.mat.tolist(), s.truncated_mass)
+        assert listed.cutoff == s.cutoff and listed.mat.dtype == np.float64
+        for channel in (apply_loss, apply_phase_diffusion):
+            a, b = channel(listed, 0.3), channel(s, 0.3)
+            assert np.array_equal(a.mat, b.mat) and a.truncated_mass == b.truncated_mass
+        assert entanglement_potential(listed) == entanglement_potential(s)
+
+    def test_matrix_is_a_read_only_copy(self):
+        mat = np.diag([0.5, 0.5])
+        s = FockDensityMatrix(mat)
+        mat[0, 0] = 1.0
+        assert s.mat[0, 0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            s.mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (1, 2, 2)])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match=r"^density matrix must be square and non-empty, got shape \("):
+            FockDensityMatrix(np.zeros(shape))
 
     def test_rounding_asymmetry_is_accepted_and_solved_in_full(self):
         s = state_from_params(StateParams(0.5, 0.2, 0.3), cutoff=8)
         mat = s.mat.copy()
         mat[2, 0] = np.nextafter(mat[2, 0], 1.0)
-        nudged = FockDensityMatrix(s.cutoff, mat, s.truncated_mass)
+        nudged = FockDensityMatrix(mat, s.truncated_mass)
         assert entanglement_potential(nudged) == pytest.approx(full_solve_ep(nudged), abs=1e-12)
         assert entanglement_potential(nudged) == pytest.approx(entanglement_potential(s), abs=1e-12)
 
@@ -274,7 +296,7 @@ class TestBeamSplitter:
         nc = 4
         mat = np.zeros((nc + 1, nc + 1), dtype=complex)
         mat[1, 1] = 1.0
-        out = beam_split_with_vacuum(FockDensityMatrix(nc, mat))
+        out = beam_split_with_vacuum(FockDensityMatrix(mat))
         i10 = 1 * (nc + 1) + 0  # |1, 0>
         i01 = 0 * (nc + 1) + 1  # |0, 1>
         assert out[i10, i10] == pytest.approx(0.5, abs=1e-15)
@@ -346,14 +368,14 @@ class TestEntanglementPotential:
         # (|0> + |1>)/sqrt(2) couples the two parity blocks of the partial transpose
         mat = np.zeros((5, 5))
         mat[:2, :2] = 0.5
-        s = FockDensityMatrix(4, mat)
+        s = FockDensityMatrix(mat)
         assert entanglement_potential(s) == pytest.approx(math.log2(1.5), abs=1e-12)
         assert entanglement_potential(s) == pytest.approx(dense_ep_oracle(mat), abs=1e-12)
 
     def test_complex_state_matches_real_one_and_dense_oracle(self):
         s = state_from_params(StateParams(0.5, 0.2, 0.3))
         n = np.arange(s.cutoff + 1)
-        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        rotated = FockDensityMatrix(s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
         assert rotated.mat.imag.any()
         assert entanglement_potential(rotated) == pytest.approx(entanglement_potential(s), abs=1e-12)
         assert entanglement_potential(rotated) == pytest.approx(dense_ep_oracle(rotated.mat), abs=1e-12)
@@ -373,7 +395,7 @@ class TestEntanglementPotential:
             x = rng.normal(size=(cutoff + 1, cutoff + 1))
             mat = x @ x.T
             mat = np.triu(mat) + np.triu(mat, 1).T
-            s = FockDensityMatrix(cutoff, mat / np.trace(mat))
+            s = FockDensityMatrix(mat / np.trace(mat))
             assert cutoff == 0 or s.mat[0, 1] != 0.0
             assert entanglement_potential(s) == pytest.approx(full_solve_ep(s), abs=1e-12)
 
@@ -384,7 +406,7 @@ class TestEntanglementPotential:
         pt = partial_transpose(beam_split_with_vacuum(s))
         assert np.max(np.abs(pt[np.ix_(swap, swap)] - pt)) <= 4 * np.finfo(float).eps * np.max(np.abs(pt))
         n = np.arange(s.cutoff + 1)
-        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        rotated = FockDensityMatrix(s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
         pt = partial_transpose(beam_split_with_vacuum(rotated))
         assert np.max(np.abs(pt[np.ix_(swap, swap)] - pt)) > 1e-3
 
@@ -392,7 +414,7 @@ class TestEntanglementPotential:
         # the anchor state rotated by 0.7 rad: the parity blocks are gathered from the single-mode matrix
         s = state_from_params(StateParams(1.0409, 0.414, 0.15), cutoff=40)
         n = np.arange(s.cutoff + 1)
-        rotated = FockDensityMatrix(s.cutoff, s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
+        rotated = FockDensityMatrix(s.mat * np.exp(0.7j * (n[:, None] - n[None, :])), s.truncated_mass)
         tracemalloc.start()
         try:
             ep = entanglement_potential(rotated)
@@ -417,6 +439,6 @@ class TestEntanglementPotential:
 class TestSerialization:
     def test_json_roundtrip_keeps_the_potential(self):
         s = state_from_params(StateParams(1.0409, 0.414, 0.15), cutoff=12)
-        back = FockDensityMatrix(s.cutoff, s.mat.astype(complex), s.truncated_mass)
+        back = FockDensityMatrix(s.mat.astype(complex), s.truncated_mass)
         assert back.mat.dtype == complex  # the complex path, against the real one
         assert entanglement_potential(back) == pytest.approx(entanglement_potential(s), abs=1e-12)
