@@ -21,6 +21,11 @@ All randomness is drawn from seeded PCG64 streams through the inverse normal
 CDF, so any operation is a pure function of (inputs, seed). That inverse is a
 numpy port of Cephes ``ndtri``, the one scipy.special ships, on libm's ``log``:
 it gives scipy's bits without loading scipy.
+
+Memory is set by the output arrays plus one block, not by the records'
+number: the sampler and the noise injection reuse their draw buffers in
+place, and the CSV reader decodes and parses one byte block of the file at a
+time, never its whole bytes or text.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ RNG_TAG = "pcg64/inverse-cdf"
 
 CSV_HEADER = "theta,x"
 _WRITE_BLOCK_ROWS = 1 << 14  # rows per write_csv block: CSV I/O memory is set by its blocks, not by the file
-_READ_BLOCK_CHARS = 1 << 20  # characters per read_csv parse, cut right after the next line feed
+_READ_BLOCK_BYTES = 1 << 18  # bytes per read_csv block, cut right after the next line feed
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +133,7 @@ _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247444341
 _Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_NDTRI_BLOCK = 1 << 14  # elements per in-place ndtri pass: the sampler's temporaries are set by it, not by n
+_NDTRI_BLOCK = 1 << 14  # elements per in-place ndtri or variance pass: the sampler's temporaries are set by it, not by n
 
 # libm's log, elementwise, as Cephes calls it: numpy's SIMD log differs from it in the last ulp
 _log = np.frompyfunc(math.log, 1, 1)
@@ -187,11 +192,17 @@ def sample_dataset(
         raise ValueError(f"sample count must be positive, got {n!r}")
     check_phase_window(phase_window)
     rng = _rng(seed)
-    scan = rng.uniform(-phase_window, phase_window, n) if phase_window > 0.0 else np.zeros(n)
-    phi = params.delta * _standard_normal(rng, n) if params.delta > 0.0 else np.zeros(n)
-    angle = center + scan + phi
-    x = np.sqrt(rotated_variance(params, angle)) * _standard_normal(rng, n)
-    theta = center + scan if phase_window > 0.0 else center + phi
+    # one buffer holds phi, then the angle (center + scan) + phi, then its standard deviation, then x; each step
+    # is an operation of the one-expression form, at most with its two operands swapped, so the bits are the same
+    scanned = rng.uniform(-phase_window, phase_window, n) if phase_window > 0.0 else 0.0
+    scanned += center
+    x = _standard_normal(rng, n) if params.delta > 0.0 else np.zeros(n)
+    x *= params.delta
+    theta = scanned if phase_window > 0.0 else center + x
+    x += scanned
+    for block in (slice(i, i + _NDTRI_BLOCK) for i in range(0, n, _NDTRI_BLOCK)):
+        x[block] = np.sqrt(rotated_variance(params, x[block]))
+    x *= _standard_normal(rng, n)
     meta = {
         "source": "simulated",
         "r": params.r,
@@ -225,8 +236,10 @@ def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
     rng = _rng(seed)
     if delta_e == 0.0:
         return data
+    theta = _standard_normal(rng, data.n)
     with np.errstate(over="ignore"):
-        theta = data.theta + delta_e * _standard_normal(rng, data.n)
+        theta *= delta_e
+        theta += data.theta
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"injected spread {delta_e!r} makes a recorded phase overflow to a non-finite value")
     meta = {
@@ -312,42 +325,83 @@ def read_csv(path) -> Dataset:
     """Read a ``theta,x`` CSV written by write_csv (or by hand).
 
     Raises CsvFormatError with a 1-based line number on any malformed or
-    non-finite entry, bytes that are not UTF-8 included. Picks up the metadata
+    non-finite entry, bytes that are not UTF-8 included; such a byte is
+    reported wherever it lies, before any bad line. Picks up the metadata
     sidecar when present; one that is not a JSON object is a CsvFormatError too.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        line = len((exc.object[: exc.start].decode("utf-8") + "\0").splitlines())  # numbered as the parser numbers
-        raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
-    head = text[: text.find("\n") + 1 or None].splitlines()  # the lines up to the first line feed
-    if not head or head[0].strip() != CSV_HEADER:
-        raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
-    records = np.concatenate([np.empty((0, 2)), *_blocks(path, text)])
+    with open(path, "rb") as fh:
+        texts = _texts(path, fh)
+        try:
+            records = np.concatenate([np.empty((0, 2)), *_blocks(path, texts)])
+        except CsvFormatError:
+            for _ in texts:  # the rest of the file is decoded, so a bad byte after the bad line is the one reported
+                pass
+            raise
     return Dataset(records[:, 0], records[:, 1], _read_sidecar(path))
 
 
-def _blocks(path: Path, text: str):
-    """The (theta, x) rows after the header: one array per block of lines.
+def _byte_blocks(fh):
+    """The bytes of ``fh`` from where it stands, in blocks that hold whole lines.
 
-    A block ends right after the first line feed at least _READ_BLOCK_CHARS
-    characters on, so together the blocks hold the lines of splitlines().
+    A block ends right after the first line feed at least _READ_BLOCK_BYTES
+    bytes on, or at the end of the file; an empty file is one empty block.
+    UTF-8 never puts a line feed inside a character, so each block decodes on
+    its own, and splitting each block's text gives the lines of the whole
+    text. A file with no line feed, such as a CR-only one, is one block.
+    """
+    block = fh.read(_READ_BLOCK_BYTES)
+    while True:
+        yield block if block.endswith(b"\n") else block + fh.readline()
+        if not (block := fh.read(_READ_BLOCK_BYTES)):
+            return
+
+
+def _texts(path: Path, fh):
+    """The blocks of ``fh`` as text; CsvFormatError at the line of the first byte that is not UTF-8."""
+    offset = 0
+    for block in _byte_blocks(fh):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = _line_at(fh, offset + exc.start)
+            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
+        yield text
+        offset += len(block)
+
+
+def _line_at(fh, offset: int) -> int:
+    """The 1-based line of byte ``offset`` in ``fh``, numbered as splitlines() numbers the lines before it."""
+    fh.seek(0)
+    line = 0
+    for block in _byte_blocks(fh):
+        if offset < len(block):
+            break
+        line += len(block.decode("utf-8").splitlines())  # a whole block ends with a line feed
+        offset -= len(block)
+    return line + len((block[:offset].decode("utf-8") + "\0").splitlines())
+
+
+def _blocks(path: Path, texts):
+    """The (theta, x) rows after the header: one array per block of ``texts``, which hold whole lines.
+
     loadtxt skips empty lines, strips U+001F where float() rejects it, and
     reads one or three fields as another shape; so a block with an empty line
     or a U+001F, or whose one np.loadtxt call is not one finite pair per line,
     goes alone to the line loop, the owner of every CsvFormatError. loadtxt
     accepts no block the line loop rejects, so the first bad line is reported.
     """
-    end, first = 0, 2
-    while end < len(text):
-        start, end = end, text.find("\n", end + _READ_BLOCK_CHARS - 1) + 1 or len(text)
-        lines = text[start:end].splitlines()[1 if start == 0 else 0 :]  # the first line of the text is the header
+    first = 2
+    for i, text in enumerate(texts):
+        lines = text.splitlines()
+        if i == 0:  # the first line of the file is the header
+            if not lines or lines[0].strip() != CSV_HEADER:
+                raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
+            del lines[0]
         if not lines:
             continue
         block = None
-        if all(lines) and text.find("\x1f", start, end) < 0:
+        if all(lines) and "\x1f" not in text:
             with suppress(ValueError):
                 block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if block is None or block.shape != (len(lines), 2) or not np.isfinite(block).all():

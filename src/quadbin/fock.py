@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def check_cutoff(cutoff: int) -> int:
     return cutoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Single-mode density matrix on Fock states 0..cutoff, where ``cutoff`` is ``len(mat) - 1``.
 
@@ -78,6 +79,14 @@ class FockDensityMatrix:
             raise ValueError(f"density matrix is not Hermitian: largest |rho - rho^H| entry is {asym:.3g}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FockDensityMatrix):
+            return NotImplemented
+        return np.array_equal(self.mat, other.mat) and self.truncated_mass == other.truncated_mass
+
+    def __hash__(self) -> int:
+        return hash((self.mat.shape, self.truncated_mass))  # equal states share both
 
     @property
     def cutoff(self) -> int:
@@ -112,9 +121,12 @@ def squeezed_vacuum_fock(r: float, cutoff: int = DEFAULT_CUTOFF) -> FockDensityM
     return FockDensityMatrix(np.outer(c, c), truncated_mass=1.0 - norm2)
 
 
+@lru_cache(maxsize=MAX_CUTOFF + 1)
 def _comb_table(cutoff: int) -> np.ndarray:
-    """binom(n, k) as floats at [n, k] for 0 <= n, k <= cutoff (zero for k > n)."""
-    return np.array([[float(math.comb(n, k)) for k in range(cutoff + 1)] for n in range(cutoff + 1)])
+    """binom(n, k) as floats at [n, k] for 0 <= n, k <= cutoff (zero for k > n), read-only: every caller shares it."""
+    table = np.array([[float(math.comb(n, k)) for k in range(cutoff + 1)] for n in range(cutoff + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def apply_loss(state: FockDensityMatrix, loss: float) -> FockDensityMatrix:

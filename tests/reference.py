@@ -1,4 +1,4 @@
-"""Record-by-record and one-string forms of fast paths, the references those paths are tested against bit for bit."""
+"""Record-by-record, one-string and one-expression forms of fast paths, the references those paths are tested against bit for bit."""
 
 import json
 from pathlib import Path
@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 
 from quadbin.binning import bin_indices
+from quadbin.data import _rng, _standard_normal
 from quadbin.detect import three_bin_ratio
+from quadbin.model import rotated_variance
 
 
 def per_record_ratio(x, sigma: float, d: int) -> float:
@@ -28,3 +30,19 @@ def one_string_write_csv(data, path) -> None:
     with open(path.with_suffix(".meta.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(dict(data.meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def one_expression_sample(params, n: int, seed: int, phase_window: float = 0.0, center: float = 0.0):
+    """sample_dataset's (theta, x) with one whole-array expression per step, the form before the in-place sampler."""
+    rng = _rng(seed)
+    scan = rng.uniform(-phase_window, phase_window, n) if phase_window > 0.0 else np.zeros(n)
+    phi = params.delta * _standard_normal(rng, n) if params.delta > 0.0 else np.zeros(n)
+    angle = center + scan + phi
+    x = np.sqrt(rotated_variance(params, angle)) * _standard_normal(rng, n)
+    theta = center + scan if phase_window > 0.0 else center + phi
+    return theta, x
+
+
+def one_expression_inject(theta, delta_e: float, seed: int):
+    """inject_phase_noise's new theta column as one expression, the form before it worked in place."""
+    return theta + delta_e * _standard_normal(_rng(seed), len(theta))

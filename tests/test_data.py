@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import one_string_write_csv
+from reference import one_expression_inject, one_expression_sample, one_string_write_csv
 from scipy import stats as sps
 from scipy.special import ndtri
 
@@ -186,6 +186,37 @@ class TestInverseNormalCdf:
         assert {(b, s) for b in (0, 1, 2) for s in (-1.0, 1.0)} <= hit
 
 
+class TestInPlaceSampler:
+    """The in-place sampler and noise injection give the bits of their one-expression forms."""
+
+    @pytest.mark.parametrize("n", [1, 7, data_module._NDTRI_BLOCK - 1, data_module._NDTRI_BLOCK,
+                                   data_module._NDTRI_BLOCK + 1, 2 * data_module._NDTRI_BLOCK + 3])
+    @pytest.mark.parametrize(
+        "delta, window, center",
+        [(0.15, 0.0, 0.0), (0.15, math.pi, 0.0), (0.15, 0.3, 0.7), (0.15, 0.0, -1.2), (0.0, 0.0, 0.7),
+         (0.0, math.pi, -0.4), (0.0, 0.0, -0.0)],
+        ids=["plain", "scan", "scan-centred", "centred", "delta0-centred", "delta0-scan", "delta0-minus0"],
+    )
+    def test_bits_of_the_one_expression_form(self, n, delta, window, center):
+        params = StateParams(1.0409, 0.414, delta)
+        d = sample_dataset(params, n, seed=4, phase_window=window, center=center)
+        theta, x = one_expression_sample(params, n, 4, window, center)
+        assert d.theta.tobytes() == theta.tobytes() and d.x.tobytes() == x.tobytes()
+        assert inject_phase_noise(d, 0.34, seed=9).theta.tobytes() == one_expression_inject(d.theta, 0.34, 9).tobytes()
+
+    def test_peaks_on_scan_sized_records(self):
+        # 200k records take 1.5 MiB per column, and a Dataset copies the columns it is given
+        params = StateParams(1.0409, 0.414, 0.15)
+        tracemalloc.start()
+        try:
+            d, sample_peak = traced_peak(sample_dataset, params, 200_000, 1, math.pi)
+            _, inject_peak = traced_peak(inject_phase_noise, d, 0.34, 9)
+        finally:
+            tracemalloc.stop()
+        assert sample_peak < 8 * 2**20  # 10.9 MiB with one whole-array temporary per step of the angle and the outcome
+        assert inject_peak < 6 * 2**20  # the new theta column and the Dataset's copies of both columns
+
+
 class TestInject:
     def test_zero_noise_is_identity(self):
         d = sample_dataset(StateParams(0.2, 0.0, 0.1), 100, seed=1)
@@ -341,6 +372,19 @@ class TestCsv:
             read_csv(path)
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("fault", ["header", "line"])
+    def test_a_later_undecodable_byte_wins_over_an_earlier_fault(self, tmp_path, eol, fault):
+        # the bad header or line sits in the first block and the byte four full blocks on (a CR-only file is one block)
+        rows = 4 * data_module._READ_BLOCK_BYTES // len(b"0.25,-1.5") + 1
+        head = b"theta,y" + eol + b"0.5,1.0" if fault == "header" else b"theta,x" + eol + b"0.5,abc"
+        path = tmp_path / "late.csv"
+        path.write_bytes(head + eol + (b"0.25,-1.5" + eol) * rows + b"0.5,\xff" + eol)
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}: line {rows + 3}: not UTF-8 text"
+        assert err.value.line == rows + 3
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_undecodable_bytes_report_line(self, tmp_path, eol):
         path = tmp_path / "bad.csv"
         path.write_bytes(eol.join([b"theta,x", b"0.0,1.0", b"0.5,\xff", b""]))
@@ -447,7 +491,8 @@ class TestCsvMemory:
             tracemalloc.stop()
         assert back == d
         assert write_peak < 4 * 2**20  # 32.9 MiB as one string: 200k line strings and two joined copies
-        assert read_peak < 20 * 2**20  # 31.8 MiB with one splitlines() list of the file; its text alone is 7.4 MiB
+        # 31.8 MiB with one splitlines() list of the file, 15.8 MiB with its whole text and, while decoded, its bytes
+        assert read_peak < 8 * 2**20
 
     def test_a_bad_last_line_is_read_in_its_block(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -463,7 +508,7 @@ class TestCsvMemory:
             tracemalloc.stop()
         assert str(err.value) == f"{path}: line 200002: could not parse '0.5,oops'"
         assert err.value.line == 200_002
-        assert read_peak < 20 * 2**20  # 28.5 MiB when the whole file went back to the line loop as one splitlines() list
+        assert read_peak < 8 * 2**20  # 28.5 MiB when the whole file went back to the line loop as one splitlines() list
 
 
 def reference_read_csv(path) -> Dataset:
@@ -580,16 +625,16 @@ class TestVectorizedRead:
 
 
 class TestSmallReadBlocks(TestVectorizedRead):
-    """TestVectorizedRead again with the read cut into blocks of a few characters.
+    """TestVectorizedRead again with the read cut into blocks of a few bytes.
 
-    At 1 character every line feed ends a block, so cuts land just after the header, after each "\\r\\n", between
+    At 1 byte every line feed ends a block, so cuts land just after the header, after each "\\r\\n", between
     empty and bad lines and before a last line without a line feed; at 16 a block holds one to a few lines.
     """
 
     @pytest.fixture(scope="class", autouse=True, params=[1, 16])
     def read_block(self, request):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_module, "_READ_BLOCK_CHARS", request.param)
+            patch.setattr(data_module, "_READ_BLOCK_BYTES", request.param)
             yield request.param
 
     def test_blocks_end_right_after_a_line_feed(self, tmp_path, monkeypatch, read_block):

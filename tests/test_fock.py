@@ -12,6 +12,7 @@ from quadbin.fock import (
     MAX_CUTOFF,
     FockDensityMatrix,
     _bs_isometry,
+    _comb_table,
     check_cutoff,
     apply_loss,
     apply_phase_diffusion,
@@ -152,8 +153,19 @@ class TestDensityMatrix:
         assert listed.cutoff == s.cutoff and listed.mat.dtype == np.float64
         for channel in (apply_loss, apply_phase_diffusion):
             a, b = channel(listed, 0.3), channel(s, 0.3)
-            assert np.array_equal(a.mat, b.mat) and a.truncated_mass == b.truncated_mass
+            assert a == b
         assert entanglement_potential(listed) == entanglement_potential(s)
+
+    def test_equality_compares_matrix_and_truncated_mass(self):
+        # the generated dataclass __eq__ compared the arrays as a tuple, which raised, and hash() raised too
+        s = squeezed_vacuum_fock(0.1)
+        assert s == squeezed_vacuum_fock(0.1) and not s != squeezed_vacuum_fock(0.1)
+        assert s != squeezed_vacuum_fock(0.2)
+        assert s != FockDensityMatrix(s.mat, s.truncated_mass + 1e-3)
+        assert s != FockDensityMatrix(s.mat[:3, :3], s.truncated_mass)
+        assert s != s.truncated_mass
+        assert hash(s) == hash(squeezed_vacuum_fock(0.1))
+        assert len({s, squeezed_vacuum_fock(0.1), squeezed_vacuum_fock(0.2)}) == 2
 
     def test_matrix_is_a_read_only_copy(self):
         mat = np.diag([0.5, 0.5])
@@ -178,6 +190,13 @@ class TestDensityMatrix:
 
 
 class TestLossChannel:
+    def test_binomial_table_is_built_once_and_read_only(self):
+        table = _comb_table(12)
+        assert _comb_table(12) is table
+        assert table[12, 6] == math.comb(12, 6) and table[3, 4] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2.0
+
     def test_zero_loss_is_identity(self):
         s = squeezed_vacuum_fock(0.5)
         assert np.array_equal(apply_loss(s, 0.0).mat, s.mat)
