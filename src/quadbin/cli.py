@@ -36,10 +36,11 @@ from .data import (
     write_csv,
 )
 from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_bin_distance, check_moment_order
-from .errors import EstimationError, QuadbinError, UndefinedStatisticError, UsageError
+from .errors import QuadbinError, UndefinedStatisticError, UsageError
 from .estimate import (
     db_from_variance,
     estimate_params,
+    params_statistic,
     residuals,
     squeezing_for_target,
     summarize,
@@ -225,24 +226,15 @@ def cmd_moments(cfg: dict) -> dict:
 # ---------------------------------------------------------------- estimate
 
 
-def _estimate_statistic(x: np.ndarray, p: np.ndarray) -> list[float]:
-    """(r, loss, delta) of one paired resample; NaN when the inversion fails."""
-    try:
-        pb = estimate_params(summarize(x, p))
-    except (EstimationError, ValueError):
-        return [np.nan] * 3
-    return [pb.r, pb.loss, pb.delta]
-
-
 def cmd_estimate(cfg: dict) -> dict:
     spec = _bootstrap_spec(cfg)
     data_x = read_csv(cfg["in_x"])
     data_p = read_csv(cfg["in_p"])
     summary = summarize(data_x.x, data_p.x)
     params = estimate_params(summary)
-    draws = resample_values(
-        spec, [data_x.n, data_p.n], [1, 2], lambda ix, ip: _estimate_statistic(data_x.x[ix], data_p.x[ip])
-    )
+    sizes = [data_x.n, data_p.n]
+    statistic = params_statistic(data_x.x, data_p.x, spec.sized(min(sizes)).resample_size)
+    draws = resample_values(spec, sizes, [1, 2], statistic)
     # failed draws are dropped from the spread
     failed = np.isnan(draws).any(axis=0)
     std_r, std_l, std_delta = (None if failed.all() else spread(row[~failed]) for row in draws)

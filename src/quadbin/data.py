@@ -22,18 +22,23 @@ CDF, so any operation is a pure function of (inputs, seed). That inverse is a
 numpy port of Cephes ``ndtri``, the one scipy.special ships, on libm's ``log``:
 it gives scipy's bits without loading scipy.
 
-Memory is set by the output arrays plus one block, not by the records'
-number: the sampler and the noise injection reuse their draw buffers in
-place, and the CSV reader decodes and parses one byte block of the file at a
-time, never its whole bytes or text.
+Memory is set by the output columns plus one block, not by the records'
+number. The sampler and the noise injection draw their normal deviates a
+block at a time into the columns they return; the window selection wraps its
+angles in one buffer; the CSV reader decodes and parses one byte block of the
+file at a time, never its whole bytes or text, and writes each block's rows
+straight into its two columns. A dataset adopts the columns these producers
+build instead of copying them; one built by any other caller copies its input.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -61,21 +66,30 @@ __all__ = [
 RNG_TAG = "pcg64/inverse-cdf"
 
 CSV_HEADER = "theta,x"
-_WRITE_BLOCK_ROWS = 1 << 14  # rows per write_csv block: CSV I/O memory is set by its blocks, not by the file
-_READ_BLOCK_BYTES = 1 << 18  # bytes per read_csv block, cut right after the next line feed
+# CSV I/O memory is set by its blocks, not by the file. Each block's temporaries (its text, line strings and
+# row arrays) stay under glibc's default 128 KiB mmap threshold, so the allocator recycles them from block to
+# block instead of mapping, faulting in and unmapping fresh pages for every block.
+_WRITE_BLOCK_ROWS = 1 << 11  # rows per write_csv block: at most about 94 KiB of text
+_READ_BLOCK_BYTES = 1 << 16  # bytes per read_csv block, cut right after the next line end
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable ordered collection of (theta, x) records plus provenance metadata."""
+    """Immutable ordered collection of (theta, x) records plus provenance metadata.
+
+    The columns are read-only float copies of what the caller passes. This
+    module's producers pass ``_adopt=True`` with float columns they built and
+    never touch again: those are checked and made read-only in place, not copied.
+    """
 
     theta: np.ndarray
     x: np.ndarray
     meta: Mapping | None = None
+    _: KW_ONLY
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        x = np.array(self.x, dtype=float)
+    def __post_init__(self, _adopt: bool):
+        theta, x = (np.asarray(a) if _adopt else np.array(a, dtype=float) for a in (self.theta, self.x))
         if theta.ndim != 1 or x.ndim != 1 or theta.shape != x.shape:
             raise ValueError("theta and x must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(x))):
@@ -156,13 +170,19 @@ def _ndtri_inplace(y: np.ndarray) -> None:
     y[tail] = np.where(flip[tail], x0 - x1, x1 - x0)
 
 
+def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    # out, overwritten with the inverse-CDF transform of uniforms one _NDTRI_BLOCK at a time (the stream of one
+    # rng.random(out.size) call); u = 0 is clipped away so every deviate stays finite
+    for start in range(0, out.size, _NDTRI_BLOCK):
+        u = out[start : start + _NDTRI_BLOCK]
+        rng.random(out=u)
+        np.clip(u, 2.0**-53, None, out=u)
+        _ndtri_inplace(u)
+    return out
+
+
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    # inverse-CDF transform of uniforms; clip away u = 0 so it stays finite
-    u = rng.random(size)
-    np.clip(u, 2.0**-53, None, out=u)
-    for start in range(0, size, _NDTRI_BLOCK):
-        _ndtri_inplace(u[start : start + _NDTRI_BLOCK])
-    return u
+    return _fill_normal(rng, np.empty(size))
 
 
 def check_phase_window(phase_window: float) -> float:
@@ -192,17 +212,19 @@ def sample_dataset(
         raise ValueError(f"sample count must be positive, got {n!r}")
     check_phase_window(phase_window)
     rng = _rng(seed)
-    # one buffer holds phi, then the angle (center + scan) + phi, then its standard deviation, then x; each step
-    # is an operation of the one-expression form, at most with its two operands swapped, so the bits are the same
+    # one buffer holds phi, then the angle (center + scan) + phi, then, a block at a time, its standard deviation
+    # and x, the second normal stream drawn block by block; each step is an operation of the one-expression form,
+    # at most with its two operands swapped, so the bits are the same
     scanned = rng.uniform(-phase_window, phase_window, n) if phase_window > 0.0 else 0.0
     scanned += center
     x = _standard_normal(rng, n) if params.delta > 0.0 else np.zeros(n)
     x *= params.delta
     theta = scanned if phase_window > 0.0 else center + x
     x += scanned
-    for block in (slice(i, i + _NDTRI_BLOCK) for i in range(0, n, _NDTRI_BLOCK)):
-        x[block] = np.sqrt(rotated_variance(params, x[block]))
-    x *= _standard_normal(rng, n)
+    z = np.empty(min(n, _NDTRI_BLOCK))
+    for block in (x[i : i + _NDTRI_BLOCK] for i in range(0, n, _NDTRI_BLOCK)):
+        np.sqrt(rotated_variance(params, block), out=block)
+        block *= _fill_normal(rng, z[: block.size])
     meta = {
         "source": "simulated",
         "r": params.r,
@@ -214,7 +236,7 @@ def sample_dataset(
         "phase_window": float(phase_window),
         "rng": RNG_TAG,
     }
-    return Dataset(theta, x, meta)
+    return Dataset(theta, x, meta, _adopt=True)
 
 
 def check_injected_spread(delta_e: float) -> float:
@@ -250,12 +272,7 @@ def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
         "rng": RNG_TAG,
         "parent": dict(data.meta),
     }
-    return Dataset(theta, data.x, meta)
-
-
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    # map to (-pi, pi]
-    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+    return Dataset(theta, data.x, meta, _adopt=True)
 
 
 def check_selection_window(center: float, half_width: float) -> None:
@@ -272,7 +289,12 @@ def select_phase_window(data: Dataset, center: float, half_width: float) -> Data
     Order is preserved. An empty result is allowed and flagged in the metadata.
     """
     check_selection_window(center, half_width)
-    keep = np.abs(_wrap_angle(data.theta - center)) < half_width
+    # |pi - mod(pi - (theta - center), 2 pi)|, the offset wrapped to (-pi, pi], one operation at a time in one buffer
+    offset = np.subtract(data.theta, center)
+    np.subtract(np.pi, offset, out=offset)
+    np.mod(offset, 2.0 * np.pi, out=offset)
+    np.subtract(np.pi, offset, out=offset)
+    keep = np.abs(offset, out=offset) < half_width
     meta = {
         "source": "derived",
         "operation": "select_phase_window",
@@ -281,7 +303,7 @@ def select_phase_window(data: Dataset, center: float, half_width: float) -> Data
         "empty_selection": bool(not keep.any()),
         "parent": dict(data.meta),
     }
-    return Dataset(data.theta[keep], data.x[keep], meta)
+    return Dataset(data.theta[keep], data.x[keep], meta, _adopt=True)
 
 
 def simulation_params(meta: Mapping) -> StateParams | None:
@@ -330,29 +352,49 @@ def read_csv(path) -> Dataset:
     sidecar when present; one that is not a JSON object is a CsvFormatError too.
     """
     path = Path(path)
+    theta, x, n = np.empty(0), np.empty(0), 0
     with open(path, "rb") as fh:
         texts = _texts(path, fh)
         try:
-            records = np.concatenate([np.empty((0, 2)), *_blocks(path, texts)])
+            for block in _blocks(path, texts):
+                rows = n + len(block)
+                if rows > x.size:  # grow to the rows that the bytes read so far predict for the whole file
+                    size = max(rows, rows * os.fstat(fh.fileno()).st_size // fh.tell())
+                    theta.resize(size, refcheck=False)  # a realloc: the columns are ours, and no view of them exists
+                    x.resize(size, refcheck=False)
+                theta[n:rows], x[n:rows] = block.T
+                n = rows
         except CsvFormatError:
             for _ in texts:  # the rest of the file is decoded, so a bad byte after the bad line is the one reported
                 pass
             raise
-    return Dataset(records[:, 0], records[:, 1], _read_sidecar(path))
+    theta.resize(n, refcheck=False)
+    x.resize(n, refcheck=False)
+    return Dataset(theta, x, _read_sidecar(path), _adopt=True)
+
+
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 def _byte_blocks(fh):
-    """The bytes of ``fh`` from where it stands, in blocks that hold whole lines.
+    """The bytes of ``fh`` (a buffered binary file) from where it stands, in blocks that hold whole lines.
 
-    A block ends right after the first line feed at least _READ_BLOCK_BYTES
-    bytes on, or at the end of the file; an empty file is one empty block.
-    UTF-8 never puts a line feed inside a character, so each block decodes on
-    its own, and splitting each block's text gives the lines of the whole
-    text. A file with no line feed, such as a CR-only one, is one block.
+    A block ends right after the first line end at least _READ_BLOCK_BYTES
+    bytes on, or at the end of the file; an empty file is one empty block. A
+    line end is a line feed, or a carriage return that no line feed follows.
+    UTF-8 never puts either byte inside a character, so each block decodes on
+    its own, and splitting each block's text gives the lines of the whole text.
     """
     block = fh.read(_READ_BLOCK_BYTES)
     while True:
-        yield block if block.endswith(b"\n") else block + fh.readline()
+        while not block.endswith(b"\n") and (ahead := fh.peek()):
+            if block.endswith(b"\r"):  # a line end, unless a line feed follows
+                if ahead.startswith(b"\n"):
+                    block += fh.read(1)
+                break
+            end = _LINE_END.search(ahead)
+            block += fh.read(end.end() if end else len(ahead))
+        yield block
         if not (block := fh.read(_READ_BLOCK_BYTES)):
             return
 
@@ -377,7 +419,7 @@ def _line_at(fh, offset: int) -> int:
     for block in _byte_blocks(fh):
         if offset < len(block):
             break
-        line += len(block.decode("utf-8").splitlines())  # a whole block ends with a line feed
+        line += len(block.decode("utf-8").splitlines())  # a whole block ends with a line end
         offset -= len(block)
     return line + len((block[:offset].decode("utf-8") + "\0").splitlines())
 

@@ -29,6 +29,7 @@ __all__ = [
     "MomentSummary",
     "summarize",
     "estimate_params",
+    "params_statistic",
     "residuals",
     "params_from_variances",
     "squeezing_for_target",
@@ -64,14 +65,19 @@ def summarize(x, p) -> MomentSummary:
     Uses divide-by-N central moments throughout, matching the raw sampling
     estimators used elsewhere. Raises UndefinedStatisticError when the data fix no summary.
     """
+    return _summarize(x, p, np.empty(len(x)), np.empty(len(p)))
+
+
+def _summarize(x, p, sx, sp) -> MomentSummary:
+    """``summarize(x, p)``, with the centred outcomes squared in ``sx`` and ``sp``, which may be x and p themselves."""
     if len(x) < 2 or len(p) < 2:
         raise UndefinedStatisticError("need at least two records per quadrature")
     # products, not the generic pow (dx**4 is about 15x slower than s * s), squared in place in
     # the two centred arrays; numpy scalars, so an overflowing product gives inf where a float's
     # power raises OverflowError
-    sx = x - x.mean()
+    np.subtract(x, x.mean(), out=sx)
     sx *= sx
-    sp = p - p.mean()
+    np.subtract(p, p.mean(), out=sp)
     sp *= sp
     var_x, var_p = sx.mean(), sp.mean()
     if var_x == 0.0 or var_p == 0.0:
@@ -114,6 +120,28 @@ def estimate_params(summary: MomentSummary) -> StateParams:
             residuals=mismatch,
         )
     return params
+
+
+def params_statistic(x: np.ndarray, p: np.ndarray, size: int):
+    """(r, loss, delta) of one paired resample of the pools ``x`` and ``p``, a statistic of two index sets of
+    ``size`` (see stats.resample_values); NaN when the inversion fails.
+
+    Each resample is gathered into one of two buffers made here once and
+    summarized in place, so no resample allocates an array of its size.
+    """
+    gx, gp = np.empty(size), np.empty(size)
+
+    def stat(ix: np.ndarray, ip: np.ndarray) -> list[float]:
+        # mode="clip" lets take write straight into out; every index is in range, so none is clipped
+        np.take(x, ix, out=gx, mode="clip")
+        np.take(p, ip, out=gp, mode="clip")
+        try:
+            pb = estimate_params(_summarize(gx, gp, gx, gp))
+        except (EstimationError, ValueError):
+            return [np.nan] * 3
+        return [pb.r, pb.loss, pb.delta]
+
+    return stat
 
 
 def params_from_variances(var_x: float, var_p: float, delta: float) -> StateParams:

@@ -40,6 +40,10 @@ __all__ = [
 SUBSAMPLE = "subsample-from-pool"
 REPLACEMENT = "resample-with-replacement"
 
+# With-replacement indices per Generator.integers call: chunked draws give the one call's stream bit for bit,
+# and a 64 KiB chunk comes from the heap's free list rather than from a fresh mapping per resample.
+_INDEX_CHUNK = 1 << 13
+
 # A statistic maps one 1-D array per pool to a float or a list of floats; NaN marks
 # a value the input leaves undefined (an empty bin, a failed inversion). Under
 # resample_values the arrays are index sets into the pools, so a statistic can be
@@ -109,10 +113,13 @@ class ViolationReport:
         return {**asdict(self), "detected": self.detected}
 
 
-def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 0) -> np.ndarray:
+def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 0, out=None) -> np.ndarray:
     """Index set of resample ``b``, a pure function of (spec, pool, b, stream).
 
     Independent of evaluation order, so any resample can be rebuilt on its own.
+    A with-replacement set is written into ``out`` when it is given, an int64
+    array of the resample size, and ``out`` is returned; a subsample set is
+    always a new array, as Generator.choice draws it.
     """
     spec = spec.sized(pool_size)
     if spec.mode == SUBSAMPLE and pool_size < spec.resample_size:
@@ -120,7 +127,10 @@ def resample_indices(spec: BootstrapSpec, pool_size: int, b: int, stream: int = 
     rng = np.random.default_rng([spec.master_seed, stream, b])
     if spec.mode == SUBSAMPLE:
         return rng.choice(pool_size, size=spec.resample_size, replace=False)
-    return rng.integers(0, pool_size, size=spec.resample_size)
+    idx = np.empty(spec.resample_size, dtype=np.int64) if out is None else out
+    for start in range(0, idx.size, _INDEX_CHUNK):
+        idx[start : start + _INDEX_CHUNK] = rng.integers(0, pool_size, size=min(_INDEX_CHUNK, idx.size - start))
+    return idx
 
 
 def resample_values(spec: BootstrapSpec, sizes, streams, statistic: Statistic) -> np.ndarray:
@@ -128,13 +138,16 @@ def resample_values(spec: BootstrapSpec, sizes, streams, statistic: Statistic) -
 
     Resample ``b`` draws one index set per pool from that pool's stream, all
     of the size the smallest pool sets (``BootstrapSpec.sized``), and the
-    statistic gets those index sets. Returns the values as a (k, B) array, one
+    statistic gets those index sets. With replacement each pool's set is drawn
+    into one buffer that every resample reuses, so a statistic must not keep
+    an index set past its call. Returns the values as a (k, B) array, one
     contiguous row per component, NaN entries included.
     """
     spec = spec.sized(min(sizes))
+    buffers = [np.empty(spec.resample_size, dtype=np.int64) if spec.mode == REPLACEMENT else None for _ in sizes]
     values = None
     for b in range(spec.n_resamples):
-        value = statistic(*(resample_indices(spec, n, b, s) for n, s in zip(sizes, streams)))
+        value = statistic(*(resample_indices(spec, n, b, s, out) for n, s, out in zip(sizes, streams, buffers)))
         if values is None:
             values = np.empty((np.size(value), spec.n_resamples))
         values[:, b] = value
