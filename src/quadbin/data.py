@@ -25,8 +25,9 @@ it gives scipy's bits without loading scipy.
 Memory is set by the output columns plus one block, not by the records'
 number. The sampler and the noise injection draw their normal deviates a
 block at a time into the columns they return; the window selection wraps its
-angles in one buffer; the CSV reader decodes and parses one byte block of the
-file at a time, never its whole bytes or text, and writes each block's rows
+angles in one buffer; the CSV reader makes one forward pass that never seeks,
+so the file may be a pipe such as /dev/stdin: it decodes and parses one byte
+block at a time, never the whole bytes or text, and writes each block's rows
 straight into its two columns. A dataset adopts the columns these producers
 build instead of copying them; one built by any other caller copies its input.
 """
@@ -77,9 +78,10 @@ _READ_BLOCK_BYTES = 1 << 16  # bytes per read_csv block, cut right after the nex
 class Dataset:
     """Immutable ordered collection of (theta, x) records plus provenance metadata.
 
-    The columns are read-only float copies of what the caller passes. This
-    module's producers pass ``_adopt=True`` with float columns they built and
-    never touch again: those are checked and made read-only in place, not copied.
+    The columns are read-only float copies of what the caller passes, and meta
+    a read-only copy all the way down. This module's producers pass
+    ``_adopt=True`` with float columns they built and never touch again: those
+    are checked and made read-only in place, not copied.
     """
 
     theta: np.ndarray
@@ -98,7 +100,7 @@ class Dataset:
         x.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta or {})))
+        object.__setattr__(self, "meta", _frozen(self.meta or {}))
 
     @property
     def n(self) -> int:
@@ -110,8 +112,15 @@ class Dataset:
         return (
             np.array_equal(self.theta, other.theta)
             and np.array_equal(self.x, other.x)
-            and dict(self.meta) == dict(other.meta)
+            and self.meta == other.meta
         )
+
+
+def _frozen(value):
+    """A read-only copy of metadata ``value``, all the way down: each mapping a MappingProxyType, each list a tuple."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
 def check_seed(seed: int) -> int:
@@ -270,7 +279,7 @@ def inject_phase_noise(data: Dataset, delta_e: float, seed: int) -> Dataset:
         "delta_e": float(delta_e),
         "seed": int(seed),
         "rng": RNG_TAG,
-        "parent": dict(data.meta),
+        "parent": data.meta,
     }
     return Dataset(theta, data.x, meta, _adopt=True)
 
@@ -301,7 +310,7 @@ def select_phase_window(data: Dataset, center: float, half_width: float) -> Data
         "center": float(center),
         "half_width": float(half_width),
         "empty_selection": bool(not keep.any()),
-        "parent": dict(data.meta),
+        "parent": data.meta,
     }
     return Dataset(data.theta[keep], data.x[keep], meta, _adopt=True)
 
@@ -339,12 +348,12 @@ def write_csv(data: Dataset, path) -> None:
         for rows in (slice(i, i + _WRITE_BLOCK_ROWS) for i in range(0, data.n, _WRITE_BLOCK_ROWS)):
             fh.write("".join(f"{t!r},{v!r}\n" for t, v in zip(data.theta[rows].tolist(), data.x[rows].tolist())))
     with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dict(data.meta), fh, indent=2, sort_keys=True)
+        json.dump(data.meta, fh, indent=2, sort_keys=True, default=dict)
         fh.write("\n")
 
 
 def read_csv(path) -> Dataset:
-    """Read a ``theta,x`` CSV written by write_csv (or by hand).
+    """Read a ``theta,x`` CSV written by write_csv (or by hand) in one forward pass, so it may be a pipe.
 
     Raises CsvFormatError with a 1-based line number on any malformed or
     non-finite entry, bytes that are not UTF-8 included; such a byte is
@@ -354,20 +363,14 @@ def read_csv(path) -> Dataset:
     path = Path(path)
     theta, x, n = np.empty(0), np.empty(0), 0
     with open(path, "rb") as fh:
-        texts = _texts(path, fh)
-        try:
-            for block in _blocks(path, texts):
-                rows = n + len(block)
-                if rows > x.size:  # grow to the rows that the bytes read so far predict for the whole file
-                    size = max(rows, rows * os.fstat(fh.fileno()).st_size // fh.tell())
-                    theta.resize(size, refcheck=False)  # a realloc: the columns are ours, and no view of them exists
-                    x.resize(size, refcheck=False)
-                theta[n:rows], x[n:rows] = block.T
-                n = rows
-        except CsvFormatError:
-            for _ in texts:  # the rest of the file is decoded, so a bad byte after the bad line is the one reported
-                pass
-            raise
+        for block, read in _blocks(path, fh):
+            rows = n + len(block)
+            if rows > x.size:  # grow to the rows the bytes read so far predict for the file (a pipe's size is 0)
+                size = max(rows, rows * os.fstat(fh.fileno()).st_size // read)
+                theta.resize(size, refcheck=False)  # a realloc: the columns are ours, and no view of them exists
+                x.resize(size, refcheck=False)
+            theta[n:rows], x[n:rows] = block.T
+            n = rows
     theta.resize(n, refcheck=False)
     x.resize(n, refcheck=False)
     return Dataset(theta, x, _read_sidecar(path), _adopt=True)
@@ -399,57 +402,49 @@ def _byte_blocks(fh):
             return
 
 
-def _texts(path: Path, fh):
-    """The blocks of ``fh`` as text; CsvFormatError at the line of the first byte that is not UTF-8."""
-    offset = 0
-    for block in _byte_blocks(fh):
-        try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = _line_at(fh, offset + exc.start)
-            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
-        yield text
-        offset += len(block)
+def _blocks(path: Path, fh):
+    """The (theta, x) rows after the header, one array per byte block of ``fh``, each with the bytes read so far.
 
-
-def _line_at(fh, offset: int) -> int:
-    """The 1-based line of byte ``offset`` in ``fh``, numbered as splitlines() numbers the lines before it."""
-    fh.seek(0)
-    line = 0
-    for block in _byte_blocks(fh):
-        if offset < len(block):
-            break
-        line += len(block.decode("utf-8").splitlines())  # a whole block ends with a line end
-        offset -= len(block)
-    return line + len((block[:offset].decode("utf-8") + "\0").splitlines())
-
-
-def _blocks(path: Path, texts):
-    """The (theta, x) rows after the header: one array per block of ``texts``, which hold whole lines.
-
-    loadtxt skips empty lines, strips U+001F where float() rejects it, and
-    reads one or three fields as another shape; so a block with an empty line
-    or a U+001F, or whose one np.loadtxt call is not one finite pair per line,
-    goes alone to the line loop, the owner of every CsvFormatError. loadtxt
-    accepts no block the line loop rejects, so the first bad line is reported.
+    Each block is decoded and split by splitlines(), its lines numbered by one
+    running count. A byte that is not UTF-8 is an error on its line; a bad
+    header or line is held while the rest is decoded, so such a byte after it
+    wins. loadtxt skips empty lines, strips U+001F where float() rejects it,
+    and reads one or three fields as another shape; so a block with an empty
+    line or a U+001F, or whose one np.loadtxt call is not one finite pair per
+    line, goes alone to the line loop, the owner of every other CsvFormatError.
+    loadtxt accepts no block the line loop rejects, so the first bad line is reported.
     """
-    first = 2
-    for i, text in enumerate(texts):
+    line = read = 0
+    fault = None
+    for data in _byte_blocks(fh):
+        read += len(data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line += len((data[: exc.start].decode("utf-8") + "\0").splitlines())
+            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
         lines = text.splitlines()
-        if i == 0:  # the first line of the file is the header
+        first, line = line + 1, line + len(lines)
+        if first == 1:  # the first line of the file is the header
             if not lines or lines[0].strip() != CSV_HEADER:
-                raise CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
-            del lines[0]
-        if not lines:
+                fault = CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
+            del lines[:1]
+            first = 2
+        if fault or not lines:
             continue
         block = None
         if all(lines) and "\x1f" not in text:
             with suppress(ValueError):
                 block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if block is None or block.shape != (len(lines), 2) or not np.isfinite(block).all():
-            block = _line_records(path, lines, first)
-        yield block
-        first += len(lines)
+            try:
+                block = _line_records(path, lines, first)
+            except CsvFormatError as exc:
+                fault = exc
+                continue
+        yield block, read
+    if fault:
+        raise fault
 
 
 def _line_records(path: Path, lines: list[str], first: int) -> np.ndarray:

@@ -3,6 +3,8 @@
 import errno
 import json
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -68,6 +70,22 @@ class TestDatasetType:
         made_by = [d, inject_phase_noise(d, 0.2, seed=2), select_phase_window(d, 0.0, 0.2), read_csv(tmp_path / "d.csv")]
         for made in made_by:
             assert not made.theta.flags.writeable and not made.x.flags.writeable
+
+    def test_meta_is_read_only_all_the_way_down(self, tmp_path):
+        nested = {"source": "x", "parent": {"seed": 1, "cuts": [{"at": 0.5}]}}
+        d = Dataset([0.0], [1.0], nested)
+        nested["parent"]["seed"] = 99
+        nested["parent"]["cuts"][0]["at"] = 9.0
+        assert d.meta == {"source": "x", "parent": {"seed": 1, "cuts": ({"at": 0.5},)}}
+        with pytest.raises(TypeError):
+            d.meta["parent"]["cuts"][0]["at"] = 9.0
+        noisy = inject_phase_noise(sample_dataset(StateParams(0.5, 0.1, 0.15), 50, seed=1, phase_window=0.3), 0.2, 2)
+        kept = select_phase_window(noisy, 0.0, 0.2)
+        with pytest.raises(TypeError):
+            kept.meta["parent"]["parent"]["seed"] = 99
+        assert noisy.meta["parent"]["seed"] == 1
+        write_csv(kept, tmp_path / "kept.csv")
+        assert read_csv(tmp_path / "kept.csv").meta == kept.meta
 
     def test_equality(self):
         a = Dataset([0.0], [1.0], {"source": "x"})
@@ -393,7 +411,7 @@ class TestCsv:
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("fault", ["header", "line"])
     def test_a_later_undecodable_byte_wins_over_an_earlier_fault(self, tmp_path, eol, fault):
-        # the bad header or line sits in the first block and the byte four full blocks on (a CR-only file is one block)
+        # the bad header or line sits in the first block and the byte four full blocks on
         rows = 4 * data_module._READ_BLOCK_BYTES // len(b"0.25,-1.5") + 1
         head = b"theta,y" + eol + b"0.5,1.0" if fault == "header" else b"theta,x" + eol + b"0.5,abc"
         path = tmp_path / "late.csv"
@@ -425,6 +443,34 @@ class TestCsv:
         d = read_csv(path)
         assert d.meta["source"] == "ingested"
         assert simulation_params(d.meta) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+class TestPipedInput:
+    """read_csv makes one forward pass and never seeks, so it reads a pipe as it reads a file."""
+
+    @staticmethod
+    def pipe_of(tmp_path, data: bytes) -> Path:
+        """A named pipe that a writer thread fills with ``data`` once a reader opens it."""
+        path = tmp_path / "piped.csv"
+        os.mkfifo(path)
+        threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+        return path
+
+    def test_records_read_bit_for_bit(self, tmp_path):
+        d = sample_dataset(StateParams(1.0409, 0.414, 0.15), 20_000, seed=5, phase_window=3.0)
+        write_csv(d, tmp_path / "records.csv")
+        path = self.pipe_of(tmp_path, (tmp_path / "records.csv").read_bytes())
+        expected = ("data", d.theta.tobytes(), d.x.tobytes(), {"source": "ingested", "path": str(path)})
+        assert read_outcome(read_csv, path) == expected
+
+    def test_a_later_undecodable_byte_wins_over_an_earlier_bad_line(self, tmp_path):
+        rows = 4 * data_module._READ_BLOCK_BYTES // len(b"0.25,-1.5\n") + 1
+        path = self.pipe_of(tmp_path, b"theta,x\n0.5,abc\n" + b"0.25,-1.5\n" * rows + b"0.5,\xff\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}: line {rows + 3}: not UTF-8 text"
+        assert err.value.line == rows + 3
 
 
 class FileFullAfter:
@@ -545,13 +591,13 @@ class TestCsvMemory:
 
 
 def reference_read_csv(path) -> Dataset:
-    """read_csv as one per-line loop, the form before the vectorized parse; the fast path must agree with it."""
+    """read_csv as one per-line loop over the whole file's text, the form before the block-wise vectorized parse."""
     path = Path(path)
+    raw = path.read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # on the line splitlines() gives the text before the byte, counted from 1
+        line = len((raw[: exc.start].decode("utf-8") + "\0").splitlines())
         raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
     if not lines or lines[0].strip() != "theta,x":
         raise CsvFormatError(f"{path}: line 1: expected header {'theta,x'!r}", line=1)
@@ -586,16 +632,17 @@ def read_outcome(read, path):
     return ("data", d.theta.tobytes(), d.x.tobytes(), dict(d.meta))
 
 
-# fields float() reads and numpy's parser does not, or reads differently, or that neither reads
+# fields float() reads and numpy's parser does not, or reads differently, or that neither reads; "\udcff" is written
+# as the byte 0xff, which is not UTF-8
 HAZARD_FIELDS = [
     "", " ", "\t", "#", "#1", "1_0", "\uff11", "\u0663", "\xa01", "1\xa0", "\u20001", "\x1f1", "1\x1f",
     "nan", "-nan", "NaN", "Infinity", "-inf", "1e400", "-1e400", "1e", "0x1p3", "1d5", "+.5", "1.", '"1"', "1 2",
-    "-0.0", "1e308", "-1e308", "5e-324", "2.2250738585072014e-308",
+    "-0.0", "1e308", "-1e308", "5e-324", "2.2250738585072014e-308", "\udcff", "1\udcff",
 ]
 FIELDS = st.one_of(
     st.floats().map(repr),  # shortest repr, subnormals, -0.0, +-inf and nan among them
     st.sampled_from(HAZARD_FIELDS),
-    st.text(alphabet="0123456789.-+eE_ #\t\r\x0b\x1f\xa0\uff11naif", max_size=5),
+    st.text(alphabet="0123456789.-+eE_ #\t\r\x0b\x1f\xa0\uff11\udcffnaif", max_size=5),
 )
 LINES = st.one_of(
     st.tuples(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.floats().map(repr)).map(",".join),
@@ -628,9 +675,12 @@ class TestVectorizedRead:
     @example(body=["Infinity,1.0"], newline="\n", trailing=True)
     @example(body=["0.0,1e400"], newline="\n", trailing=True)
     @example(body=["-0.0,5e-324", "1e308,-1e308", "2.2250738585072014e-308,0.1"], newline="\r\n", trailing=False)
+    @example(body=["0.1,0.2", "0.5,\udcff"], newline="\r", trailing=True)
+    @example(body=["0.5,abc", "0.5,1.0\x0b0.5,\udcff"], newline="\n", trailing=True)
     def test_agrees_with_the_line_loop(self, csv_dir, body, newline, trailing):
         path = csv_dir / "records.csv"
-        path.write_bytes(newline.join(["theta,x", *body]).encode("utf-8") + (newline.encode() if trailing else b""))
+        text = newline.join(["theta,x", *body]) + (newline if trailing else "")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a body with no data; read_csv must not
             outcome = read_outcome(read_csv, path)
