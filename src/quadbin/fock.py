@@ -15,7 +15,8 @@ transpose, so each parity block splits again into an exchange-symmetric and an
 exchange-antisymmetric block (441, 400, 420 and 420 states at cutoff 40).
 Every block is gathered straight from the single-mode matrix, never from a
 two-mode one (``beam_split_with_vacuum`` and ``partial_transpose`` build those
-as the tests' reference): a real state at cutoff 60 solves in about 0.2 s
+as the tests' reference), through one index array and scaled in place: a real
+state at cutoff 60 solves in about 0.15 s, some 25 ms of it the gather
 (2-vCPU Xeon, OpenBLAS), and a complex or inexactly symmetric matrix passed in
 by a caller is solved on its parity blocks alone.
 """
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 10
-# Largest cutoff accepted; a real state's entanglement potential at cutoff 60 takes about 0.2 s.
+# Largest cutoff accepted; a real state's entanglement potential at cutoff 60 takes about 0.15 s.
 MAX_CUTOFF = 60
 
 
@@ -204,7 +205,8 @@ def _transposed_blocks(mat: np.ndarray):
     splits again: on the basis |a, a> and (|a, b> +- |b, a>) / sqrt(2), a < b,
     the symmetric block is G + G' and the antisymmetric block G - G', where G'
     takes each column (a', b') at (b', a'); the rows and columns of |a, a>
-    carry a further 1 / sqrt(2) each. The blocks are yielded one at a time.
+    carry a further 1 / sqrt(2) each. The blocks are yielded one at a time,
+    each after the index, scale and swapped gather that built it are dropped.
     """
     nc = mat.shape[0] - 1
     width = 2 * nc + 1
@@ -229,28 +231,39 @@ def _transposed_blocks(mat: np.ndarray):
         # the flat index of S[a + b', a' + b] is a sum of one term per row and one per column
         row = ca * width + cb
         uu = u[ca] * u[cb]
-        diag = ((ca == cb) & exchange).astype(float)
-        # exp2 gives the two diagonal-pair factors as exactly 1/2, which sqrt(1/2) squared is not
-        scale = np.outer(uu, uu) * np.exp2(-0.5 * (diag[:, None] + diag[None, :]))
-        g = s[row[:, None] + (cb * width + ca)[None, :]] * scale
+        scale = np.outer(uu, uu)
+        # the pairs a = b come last: sqrt(1/2) on their rows and columns, exactly 1/2 (not sqrt(1/2) squared) on both
+        m = np.count_nonzero(ca != cb) if exchange else len(ca)
+        scale[:m, m:] *= np.sqrt(0.5)
+        scale[m:, :m] *= np.sqrt(0.5)
+        scale[m:, m:] *= 0.5
+        idx = np.add.outer(row, cb * width + ca)
+        g = s.take(idx)
+        g *= scale
         if not exchange:
+            del idx, scale
             yield g
             continue
-        swapped = s[row[:, None] + row[None, :]] * scale
-        m = np.count_nonzero(ca != cb)
-        yield g + swapped
-        yield g[:m, :m] - swapped[:m, :m]
+        swapped = s.take(np.add.outer(row, row, out=idx))
+        swapped *= scale
+        del idx, scale
+        anti = g[:m, :m] - swapped[:m, :m]
+        g += swapped
+        del swapped
+        yield g
+        yield anti
 
 
 def entanglement_potential(state: FockDensityMatrix) -> float:
     """Entanglement (ebits) producible by splitting the state on a balanced beam splitter.
 
     log2 of the trace norm (sum of absolute eigenvalues) of the partial
-    transpose of the two-mode output; 0 exactly for the vacuum and any state
-    whose split output stays positive under partial transposition.
+    transpose of the two-mode output. Never negative: 0 up to rounding (a few
+    1e-16 above) for any state whose split output stays positive under partial
+    transposition, and 0 where rounding puts the trace norm below 1.
     """
     vals = np.concatenate([np.linalg.eigvalsh(block) for block in _transposed_blocks(state.mat)])
-    return float(np.log2(np.abs(vals).sum()))
+    return max(float(np.log2(np.abs(vals).sum())), 0.0)
 
 
 def quadrature_variance(state: FockDensityMatrix, axis: str = "x") -> float:

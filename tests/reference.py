@@ -46,3 +46,41 @@ def one_expression_sample(params, n: int, seed: int, phase_window: float = 0.0, 
 def one_expression_inject(theta, delta_e: float, seed: int):
     """inject_phase_noise's new theta column as one expression, the form before it worked in place."""
     return theta + delta_e * _standard_normal(_rng(seed), len(theta))
+
+
+def one_expression_blocks(mat: np.ndarray):
+    """fock._transposed_blocks with one whole-array expression per block, the form before the in-place gather."""
+    nc = mat.shape[0] - 1
+    width = 2 * nc + 1
+    n = np.arange(nc + 1)
+    fact = np.cumprod(np.r_[1.0, np.arange(1.0, nc + 1)])
+    h = np.sqrt(fact / 2.0 ** n)
+    s = np.zeros((width, width), mat.dtype)
+    s[: nc + 1, : nc + 1] = mat * np.outer(h, h)
+    s = s.ravel()
+    exchange = np.isrealobj(mat) and np.array_equal(mat, mat.T)
+    if exchange:
+        # pairs a < b first, then a = b, so each antisymmetric block is the leading square of its gather
+        a, b = np.triu_indices(nc + 1, 1)
+        a, b = np.r_[a, n], np.r_[b, n]
+    else:
+        a, b = np.divmod(np.arange((nc + 1) ** 2), nc + 1)
+    u = 1.0 / np.sqrt(fact)
+    # the parity classes of a + b decouple when nothing connects them: no odd coherence
+    split = not mat[(n[:, None] - n[None, :]) % 2 == 1].any()
+    for cls in [(a + b) % 2 == p for p in (0, 1)] if split else [slice(None)]:
+        ca, cb = a[cls], b[cls]
+        # the flat index of S[a + b', a' + b] is a sum of one term per row and one per column
+        row = ca * width + cb
+        uu = u[ca] * u[cb]
+        diag = ((ca == cb) & exchange).astype(float)
+        # exp2 gives the two diagonal-pair factors as exactly 1/2, which sqrt(1/2) squared is not
+        scale = np.outer(uu, uu) * np.exp2(-0.5 * (diag[:, None] + diag[None, :]))
+        g = s[row[:, None] + (cb * width + ca)[None, :]] * scale
+        if not exchange:
+            yield g
+            continue
+        swapped = s[row[:, None] + row[None, :]] * scale
+        m = np.count_nonzero(ca != cb)
+        yield g + swapped
+        yield g[:m, :m] - swapped[:m, :m]

@@ -1,5 +1,6 @@
 """Fock-space tests: channels against operator oracles, splitter against the literal sum."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from quadbin.fock import (
     FockDensityMatrix,
     _bs_isometry,
     _comb_table,
+    _transposed_blocks,
     check_cutoff,
     apply_loss,
     apply_phase_diffusion,
@@ -24,6 +26,7 @@ from quadbin.fock import (
     state_from_params,
 )
 from quadbin.model import StateParams, diffused_variance
+from reference import one_expression_blocks
 
 # the five (r, loss, delta) states of the Fock benchmark workload
 BENCH_STATES = [(1.0409, 0.414, 0.15), (1.0409, 0.414, 0.5), (0.4, 0.0, 0.0), (0.7, 0.6, 0.0), (0.3, 0.1, 0.0)]
@@ -444,6 +447,23 @@ class TestEntanglementPotential:
         assert peak < two_mode_bytes
         assert ep == pytest.approx(entanglement_potential(s), abs=1e-12)
 
+    def test_real_state_at_the_largest_cutoff_drops_its_gather_temporaries(self):
+        # a block's index, scale and swapped gather held across its eigensolve take the peak to 47.3 MiB
+        s = state_from_params(StateParams(*BENCH_STATES[0]), cutoff=MAX_CUTOFF)
+        tracemalloc.start()
+        try:
+            entanglement_potential(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 2**20
+
+    @pytest.mark.parametrize("cutoff", [4, 10, 20])
+    def test_never_negative(self, cutoff):
+        # the loss-1 vacuum's trace rounds below 1, and so would log2 of its trace norm below 0 (-4.8e-16 at cutoff 20)
+        for r, loss, delta in itertools.product([0.05, 0.2, 0.5, 1.0], [0.5, 0.8, 0.95, 0.99, 1.0], [0.0, 1.5, 3.0]):
+            assert entanglement_potential(state_from_params(StateParams(r, loss, delta), cutoff)) >= 0.0
+
     def test_positive_under_strong_dephasing(self):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)
         s = state_from_params(StateParams(anchor.r, anchor.loss, 0.5))
@@ -453,6 +473,58 @@ class TestEntanglementPotential:
         eps = [entanglement_potential(state_from_params(StateParams(0.5, l, 0.3))) for l in np.linspace(0, 0.8, 5)]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
         assert entanglement_potential(state_from_params(StateParams(0.5, 1.0, 0.3))) == pytest.approx(0.0, abs=1e-12)
+
+
+def rotated_anchor(cutoff: int) -> np.ndarray:
+    """The anchor state turned by 0.7 rad: complex, so only the parity split applies."""
+    mat = state_from_params(StateParams(*BENCH_STATES[0]), cutoff).mat
+    n = np.arange(cutoff + 1)
+    return mat * np.exp(0.7j * (n[:, None] - n[None, :]))
+
+
+def random_real_state(cutoff: int) -> np.ndarray:
+    """A random real, exactly symmetric state whose odd coherences couple the parity classes."""
+    x = np.random.default_rng(cutoff).normal(size=(cutoff + 1, cutoff + 1))
+    mat = x @ x.T
+    mat = np.triu(mat) + np.triu(mat, 1).T
+    return mat / np.trace(mat)
+
+
+def nudged_anchor(cutoff: int) -> np.ndarray:
+    """The anchor state with rho[2, 0] moved by an ulp: real but not exactly symmetric, so no exchange split."""
+    mat = state_from_params(StateParams(*BENCH_STATES[0]), cutoff).mat.copy()
+    mat[2, 0] = np.nextafter(mat[2, 0], 1.0)
+    return mat
+
+
+GATHER_INPUTS = {f"bench-{i}": lambda c, st=st: state_from_params(StateParams(*st), c).mat
+                 for i, st in enumerate(BENCH_STATES)}
+GATHER_INPUTS |= {"rotated-anchor": rotated_anchor, "random-real": random_real_state, "nudged-anchor": nudged_anchor}
+GATHER_CASES = [
+    (name, cutoff)
+    for name in GATHER_INPUTS
+    for cutoff in (0, 1, 2, 5, 10, 20, 30, 40, 60)
+    if cutoff >= 2 or name != "nudged-anchor"  # the nudged coherence rho[2, 0] needs cutoff 2
+]
+
+
+class TestTransposedBlocks:
+    @pytest.mark.parametrize("name, cutoff", GATHER_CASES)
+    def test_blocks_and_potential_match_the_one_expression_gather(self, name, cutoff):
+        mat = GATHER_INPUTS[name](cutoff)
+        vals = []
+        for got, want in itertools.zip_longest(_transposed_blocks(mat), one_expression_blocks(mat)):
+            assert got is not None and want is not None, "the two gathers yield different numbers of blocks"
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            vals.append(np.linalg.eigvalsh(want))
+        ep = float(np.log2(np.abs(np.concatenate(vals)).sum()))
+        assert entanglement_potential(FockDensityMatrix(mat)) == max(ep, 0.0)
+
+    def test_inputs_take_every_path(self):
+        assert np.iscomplexobj(rotated_anchor(10))
+        assert random_real_state(10)[0, 1] != 0.0
+        mat = nudged_anchor(10)
+        assert np.isrealobj(mat) and not np.array_equal(mat, mat.T) and not mat[0, 1::2].any()
 
 
 class TestSerialization:
