@@ -26,10 +26,10 @@ Memory is set by the output columns plus one block, not by the records'
 number. The sampler and the noise injection draw their normal deviates a
 block at a time into the columns they return; the window selection wraps its
 angles in one buffer; the CSV reader makes one forward pass that never seeks,
-so the file may be a pipe such as /dev/stdin: it decodes and parses one byte
-block at a time, never the whole bytes or text, and writes each block's rows
-straight into its two columns. A dataset adopts the columns these producers
-build instead of copying them; one built by any other caller copies its input.
+so the file may be a pipe such as /dev/stdin: it reads and parses one block of
+text at a time, never the whole text, and writes each block's rows straight
+into its two columns. A dataset adopts the columns these producers build
+instead of copying them; one built by any other caller copies its input.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ CSV_HEADER = "theta,x"
 # row arrays) stay under glibc's default 128 KiB mmap threshold, so the allocator recycles them from block to
 # block instead of mapping, faulting in and unmapping fresh pages for every block.
 _WRITE_BLOCK_ROWS = 1 << 11  # rows per write_csv block: at most about 94 KiB of text
-_READ_BLOCK_BYTES = 1 << 16  # bytes per read_csv block, cut right after the next line end
+_READ_BLOCK_CHARS = 1 << 16  # characters per read_csv block, cut right after the next line end
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,17 +355,19 @@ def write_csv(data: Dataset, path) -> None:
 def read_csv(path) -> Dataset:
     """Read a ``theta,x`` CSV written by write_csv (or by hand) in one forward pass, so it may be a pipe.
 
-    Raises CsvFormatError with a 1-based line number on any malformed or
-    non-finite entry, bytes that are not UTF-8 included; such a byte is
-    reported wherever it lies, before any bad line. Picks up the metadata
-    sidecar when present; one that is not a JSON object is a CsvFormatError too.
+    The file is read as UTF-8 text with universal newlines: a line feed, a
+    carriage return or both end a line. Raises CsvFormatError with a 1-based
+    line number on any malformed or non-finite entry, bytes that are not UTF-8
+    included; such a byte is reported wherever it lies, before any bad line.
+    Picks up the metadata sidecar when present; one that is not a JSON object
+    is a CsvFormatError too.
     """
     path = Path(path)
     theta, x, n = np.empty(0), np.empty(0), 0
-    with open(path, "rb") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for block, read in _blocks(path, fh):
             rows = n + len(block)
-            if rows > x.size:  # grow to the rows the bytes read so far predict for the file (a pipe's size is 0)
+            if rows > x.size:  # grow to the rows the characters read so far predict for the file (a pipe's size is 0)
                 size = max(rows, rows * os.fstat(fh.fileno()).st_size // read)
                 theta.resize(size, refcheck=False)  # a realloc: the columns are ours, and no view of them exists
                 x.resize(size, refcheck=False)
@@ -376,58 +378,39 @@ def read_csv(path) -> Dataset:
     return Dataset(theta, x, _read_sidecar(path), _adopt=True)
 
 
-_LINE_END = re.compile(rb"[\r\n]")
-
-
-def _byte_blocks(fh):
-    """The bytes of ``fh`` (a buffered binary file) from where it stands, in blocks that hold whole lines.
-
-    A block ends right after the first line end at least _READ_BLOCK_BYTES
-    bytes on, or at the end of the file; an empty file is one empty block. A
-    line end is a line feed, or a carriage return that no line feed follows.
-    UTF-8 never puts either byte inside a character, so each block decodes on
-    its own, and splitting each block's text gives the lines of the whole text.
-    """
-    block = fh.read(_READ_BLOCK_BYTES)
-    while True:
-        while not block.endswith(b"\n") and (ahead := fh.peek()):
-            if block.endswith(b"\r"):  # a line end, unless a line feed follows
-                if ahead.startswith(b"\n"):
-                    block += fh.read(1)
-                break
-            end = _LINE_END.search(ahead)
-            block += fh.read(end.end() if end else len(ahead))
-        yield block
-        if not (block := fh.read(_READ_BLOCK_BYTES)):
-            return
+# surrogateescape decodes each byte that is not UTF-8, and only such a byte, to one of these
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def _blocks(path: Path, fh):
-    """The (theta, x) rows after the header, one array per byte block of ``fh``, each with the bytes read so far.
+    """The (theta, x) rows after the header, one array per text block of ``fh``, each with the characters read so far.
 
-    Each block is decoded and split by splitlines(), its lines numbered by one
-    running count. A byte that is not UTF-8 is an error on its line; a bad
-    header or line is held while the rest is decoded, so such a byte after it
-    wins. loadtxt skips empty lines, strips U+001F where float() rejects it,
-    and reads one or three fields as another shape; so a block with an empty
-    line or a U+001F, or whose one np.loadtxt call is not one finite pair per
-    line, goes alone to the line loop, the owner of every other CsvFormatError.
-    loadtxt accepts no block the line loop rejects, so the first bad line is reported.
+    ``fh`` is a text file opened with universal newlines and surrogateescape.
+    A block ends right after the first line end at least _READ_BLOCK_CHARS
+    characters on, or at the end of the file, and is split by splitlines(),
+    its lines numbered by one running count. A byte that is not UTF-8 is an
+    error on its line; a bad header or line is held while the rest is read, so
+    such a byte after it wins. loadtxt skips empty lines, strips U+001F where
+    float() rejects it, and reads one or three fields as another shape; so a
+    block with an empty line or a U+001F, or whose one np.loadtxt call is not
+    one finite pair per line, goes alone to the line loop, the owner of every
+    other CsvFormatError. loadtxt accepts no block the line loop rejects, so
+    the first bad line is reported.
     """
     line = read = 0
-    fault = None
-    for data in _byte_blocks(fh):
-        read += len(data)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line += len((data[: exc.start].decode("utf-8") + "\0").splitlines())
-            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line) from None
+    fault = CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)  # until a good header is read
+    while text := fh.read(_READ_BLOCK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        read += len(text)
+        if not text.isascii() and (bad := _NOT_UTF8.search(text)):
+            line += len((text[: bad.start()] + "\0").splitlines())
+            raise CsvFormatError(f"{path}: line {line}: not UTF-8 text", line=line)
         lines = text.splitlines()
         first, line = line + 1, line + len(lines)
         if first == 1:  # the first line of the file is the header
-            if not lines or lines[0].strip() != CSV_HEADER:
-                fault = CsvFormatError(f"{path}: line 1: expected header {CSV_HEADER!r}", line=1)
+            if lines[0].strip() == CSV_HEADER:
+                fault = None
             del lines[:1]
             first = 2
         if fault or not lines:

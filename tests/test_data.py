@@ -412,7 +412,7 @@ class TestCsv:
     @pytest.mark.parametrize("fault", ["header", "line"])
     def test_a_later_undecodable_byte_wins_over_an_earlier_fault(self, tmp_path, eol, fault):
         # the bad header or line sits in the first block and the byte four full blocks on
-        rows = 4 * data_module._READ_BLOCK_BYTES // len(b"0.25,-1.5") + 1
+        rows = 4 * data_module._READ_BLOCK_CHARS // len(b"0.25,-1.5") + 1
         head = b"theta,y" + eol + b"0.5,1.0" if fault == "header" else b"theta,x" + eol + b"0.5,abc"
         path = tmp_path / "late.csv"
         path.write_bytes(head + eol + (b"0.25,-1.5" + eol) * rows + b"0.5,\xff" + eol)
@@ -423,12 +423,28 @@ class TestCsv:
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_undecodable_bytes_report_line(self, tmp_path, eol):
+        # 0xff, an encoded surrogate, an overlong "/", a stray continuation byte and a lead byte the file ends on:
+        # strict UTF-8 rejects each, and surrogateescape reads each as lone surrogates, which read_csv looks for
         path = tmp_path / "bad.csv"
-        path.write_bytes(eol.join([b"theta,x", b"0.0,1.0", b"0.5,\xff", b""]))
-        with pytest.raises(CsvFormatError) as err:
-            read_csv(path)
-        assert err.value.line == 3
-        assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+        for bad in (b"\xff" + eol, b"\xed\xa0\x80" + eol, b"\xc0\xaf" + eol, b"\x80" + eol, b"\xc3"):
+            path.write_bytes(eol.join([b"theta,x", b"0.0,1.0", b"0.5," + bad]))
+            with pytest.raises(CsvFormatError) as err:
+                read_csv(path)
+            assert err.value.line == 3
+            assert str(err.value) == f"{path}: line 3: not UTF-8 text"
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_across_read_boundaries(self, tmp_path, eol):
+        # the text layer decodes 8192 bytes at a time, and read_csv reads _READ_BLOCK_CHARS characters at a time;
+        # each leading zero moves every line end one byte on, so over one row's length of pads a line end meets
+        # each such boundary at each offset, a "\r\n" cut in two by it among them
+        row = b"0.25,-1.5" + eol
+        path = tmp_path / "boundary.csv"
+        for pad in range(len(row)):
+            path.write_bytes(b"theta,x" + eol + b"0" * pad + row * (2 * data_module._READ_BLOCK_CHARS // len(row)))
+            expected = read_outcome(reference_read_csv, path)
+            assert expected[0] == "data"
+            assert read_outcome(read_csv, path) == expected
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -465,7 +481,7 @@ class TestPipedInput:
         assert read_outcome(read_csv, path) == expected
 
     def test_a_later_undecodable_byte_wins_over_an_earlier_bad_line(self, tmp_path):
-        rows = 4 * data_module._READ_BLOCK_BYTES // len(b"0.25,-1.5\n") + 1
+        rows = 4 * data_module._READ_BLOCK_CHARS // len(b"0.25,-1.5\n") + 1
         path = self.pipe_of(tmp_path, b"theta,x\n0.5,abc\n" + b"0.25,-1.5\n" * rows + b"0.5,\xff\n")
         with pytest.raises(CsvFormatError) as err:
             read_csv(path)
@@ -560,11 +576,13 @@ class TestCsvMemory:
         # 6.3 MiB with every parsed block kept for one concatenation and the Dataset's copies of the columns
         assert read_peak < 4.5 * 2**20
 
-    def test_a_cr_only_file_is_read_in_blocks_too(self, tmp_path):
+    @pytest.mark.parametrize("eol", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_a_cr_only_file_is_read_in_blocks_too(self, tmp_path, eol):
+        # the characters read predict a CRLF file's rows high by the share of its line ends in its bytes
         d = sample_dataset(StateParams(1.0409, 0.414, 0.15), 200_000, seed=1, phase_window=math.pi)
         path = tmp_path / "scan.csv"
         write_csv(d, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        path.write_bytes(path.read_bytes().replace(b"\n", eol))
         tracemalloc.start()
         try:
             back, read_peak = traced_peak(read_csv, path)
@@ -708,16 +726,16 @@ class TestVectorizedRead:
 
 
 class TestSmallReadBlocks(TestVectorizedRead):
-    """TestVectorizedRead again with the read cut into blocks of a few bytes.
+    """TestVectorizedRead again with the read cut into blocks of a few characters.
 
-    At 1 byte every line feed ends a block, so cuts land just after the header, after each "\\r\\n", between
+    At 1 character every line end ends a block, so cuts land just after the header, after each "\\r\\n", between
     empty and bad lines and before a last line without a line feed; at 16 a block holds one to a few lines.
     """
 
     @pytest.fixture(scope="class", autouse=True, params=[1, 16])
     def read_block(self, request):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_module, "_READ_BLOCK_BYTES", request.param)
+            patch.setattr(data_module, "_READ_BLOCK_CHARS", request.param)
             yield request.param
 
     def test_blocks_end_right_after_a_line_feed(self, tmp_path, monkeypatch, read_block):
