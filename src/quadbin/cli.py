@@ -162,7 +162,7 @@ def _ratio_reports(cfg: dict, sigmas: list[float]) -> tuple[list[ViolationReport
     data = read_csv(cfg["in_path"])
     reports, points = detector_reports(data, spec, sigmas, cfg["d"])
     params = simulation_params(data.meta)
-    dist = QuadratureDistribution(params, "x") if params is not None else None
+    dist = QuadratureDistribution(params) if params is not None else None
     return reports, [analytic_three_bin_R(dist, s, cfg["d"]) if dist is not None else None for s in sigmas], points
 
 

@@ -47,7 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CsvFormatError
-from .model import StateParams, rotated_variance
+from .model import StateParams, check_angle, rotated_variance
 
 __all__ = [
     "Dataset",
@@ -220,6 +220,7 @@ def sample_dataset(
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n!r}")
     check_phase_window(phase_window)
+    check_angle(center)
     rng = _rng(seed)
     # one buffer holds phi, then the angle (center + scan) + phi, then, a block at a time, its standard deviation
     # and x, the second normal stream drawn block by block; each step is an operation of the one-expression form,
@@ -320,8 +321,9 @@ def simulation_params(meta: Mapping) -> StateParams | None:
 
     Returns None for ingested or transformed datasets: after injection or
     selection the stored parameters no longer describe the record stream. A
-    phase scan or a nonzero center measures another quadrature than x, so
-    those files get None too.
+    phase scan gets None too. The model takes any measurement angle, so a
+    nonzero center could be described; it gets None only so that the outputs
+    computed for centred files stay byte-identical.
     """
     if meta.get("source") != "simulated" or meta.get("phase_window") != 0.0 or meta.get("center") != 0.0:
         return None

@@ -182,8 +182,8 @@ def _invert_variances(var_x: float, var_p: float, u: float) -> tuple[float, floa
 def residuals(params: StateParams, summary: MomentSummary) -> dict:
     """Relative mismatch between the forward model at ``params`` and each summary moment."""
     return {
-        "var_x": abs(diffused_variance(params, "x") - summary.var_x) / summary.var_x,
-        "var_p": abs(diffused_variance(params, "p") - summary.var_p) / summary.var_p,
+        "var_x": abs(diffused_variance(params) - summary.var_x) / summary.var_x,
+        "var_p": abs(diffused_variance(params, 0.5 * np.pi) - summary.var_p) / summary.var_p,
         "kurt_x": abs(kurtosis_x(params) - summary.kurt_x) / summary.kurt_x,
     }
 
@@ -192,17 +192,17 @@ def squeezing_for_target(var_x: float, loss: float, delta: float) -> float:
     """Squeezing parameter that hits a target squeezing-axis variance at fixed (loss, delta).
 
     In q = e^{-2r} the variance is quadratic: A q^2 - C q + B = 0 with
-    A = (1-loss) e^{-delta^2} cosh(delta^2), C = var_x - loss and
-    B = (1-loss) e^{-delta^2} sinh(delta^2). Of the roots inside (0, 1] the
-    larger one (least squeezing) is returned.
+    A = (1-loss) (1 + u) / 2, C = var_x - loss and B = (1-loss) (1 - u) / 2,
+    u = e^{-2 delta^2}, diffused_variance's own form, finite at any delta. Of
+    the roots inside (0, 1] the larger one (least squeezing) is returned.
     """
     if not var_x > 0.0:
         raise ValueError(f"target variance must be positive, got {var_x!r}")
     if not 0.0 <= loss < 1.0:
         raise ValueError(f"loss must lie in [0, 1), got {loss!r}")
-    d2 = delta**2
-    a = (1.0 - loss) * np.exp(-d2) * np.cosh(d2)
-    b = (1.0 - loss) * np.exp(-d2) * np.sinh(d2)
+    u = np.exp(-2.0 * delta**2)
+    a = 0.5 * (1.0 - loss) * (1.0 + u)
+    b = 0.5 * (1.0 - loss) * (1.0 - u)
     c = var_x - loss
     disc = c**2 - 4.0 * a * b
     if c <= 0.0 or disc < 0.0:

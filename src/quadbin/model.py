@@ -4,10 +4,11 @@ Everything is expressed in shot-noise units, fixed by the commutator
 convention [x, p] = 2i: the vacuum quadrature variance equals 1. The state
 is an x-squeezed vacuum (squeezing parameter ``r``) degraded by beam-splitter
 loss of reflectance ``loss`` and by a Gaussian spread of the quadrature angle
-with standard deviation ``delta`` (radians). Its single-quadrature
-distribution is the zero-mean Gaussian mixture obtained by averaging the
-rotated variance over that angle spread, which has closed-form second and
-fourth moments and is evaluated pointwise by Gauss-Hermite quadrature.
+with standard deviation ``delta`` (radians). A quadrature is named by its
+angle in radians, 0 for x and pi/2 for p; its distribution is the zero-mean
+Gaussian mixture obtained by averaging the rotated variance over the angle
+spread, which has closed-form second and fourth moments and is evaluated
+pointwise by Gauss-Hermite quadrature.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .binning import check_bin_size
 
 __all__ = [
     "StateParams",
+    "check_angle",
     "QuadratureDistribution",
     "rotated_variance",
     "diffused_variance",
@@ -35,8 +37,6 @@ GH_ORDER = 96
 
 # Below this spread the angle average collapses to the theta = 0 slice.
 _DELTA_FLOOR = 1e-12
-
-_AXIS_OFFSET = {"x": 0.0, "p": 0.5 * np.pi}
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,13 @@ class StateParams:
             raise ValueError(f"phase diffusion must be finite and >= 0, got {self.delta!r}")
 
 
+def check_angle(angle: float) -> float:
+    """``angle`` unchanged once it is a usable measurement angle; ValueError otherwise."""
+    if not np.isfinite(angle):
+        raise ValueError(f"measurement angle must be finite, got {angle!r}")
+    return angle
+
+
 def rotated_variance(params: StateParams, theta):
     """Variance of the quadrature at angle ``theta`` for the lossy squeezed state.
 
@@ -76,21 +83,15 @@ def rotated_variance(params: StateParams, theta):
     return v if np.ndim(theta) else float(v)
 
 
-def diffused_variance(params: StateParams, axis: str = "x") -> float:
-    """Quadrature variance after averaging over the Gaussian angle spread.
+def diffused_variance(params: StateParams, angle: float = 0.0) -> float:
+    """Variance of the quadrature at ``angle`` after averaging over the Gaussian angle spread.
 
-    Closed form: loss + (1-loss) e^{-delta^2} (e^{-2r} cosh(delta^2)
-    + e^{+2r} sinh(delta^2)) on the squeezing axis; the two exponentials swap
-    on the anti-squeezing axis. Evaluated through u = e^{-2 delta^2}
-    (e^{-d^2} cosh d^2 = (1+u)/2 and so on), which stays finite at any delta.
+    Closed form: loss + (1-loss) (e^{-2r} (1 + c u) + e^{2r} (1 - c u)) / 2
+    with c = cos(2 angle) and u = e^{-2 delta^2}, which stays finite at any
+    delta; c is exactly 1 at angle 0 and exactly -1 at pi/2.
     """
-    u = np.exp(-2.0 * params.delta**2)
-    if axis == "x":
-        mix = 0.5 * (np.exp(-2.0 * params.r) * (1.0 + u) + np.exp(2.0 * params.r) * (1.0 - u))
-    elif axis == "p":
-        mix = 0.5 * (np.exp(2.0 * params.r) * (1.0 + u) + np.exp(-2.0 * params.r) * (1.0 - u))
-    else:
-        raise ValueError(f"axis must be 'x' or 'p', got {axis!r}")
+    cu = np.cos(2.0 * angle) * np.exp(-2.0 * params.delta**2)
+    mix = 0.5 * (np.exp(-2.0 * params.r) * (1.0 + cu) + np.exp(2.0 * params.r) * (1.0 - cu))
     return float(params.loss + (1.0 - params.loss) * mix)
 
 
@@ -102,7 +103,7 @@ def kurtosis_x(params: StateParams) -> float:
     6 (1-loss)^2 e^{-4 delta^2} sinh^2(2 delta^2) sinh^2(2r) / var_x^2,
     evaluated as (3/2) (1-loss)^2 (1 - e^{-4 delta^2})^2 sinh^2(2r) / var_x^2.
     """
-    vx = diffused_variance(params, "x")
+    vx = diffused_variance(params)
     w = -np.expm1(-4.0 * params.delta**2)
     excess = 1.5 * (1.0 - params.loss) ** 2 * w**2 * np.sinh(2.0 * params.r) ** 2 / vx**2
     return float(3.0 + excess)
@@ -136,25 +137,23 @@ def _interval_mass(lo, hi):
 class QuadratureDistribution:
     """Marginal distribution of one quadrature of the diffused lossy squeezed state.
 
-    ``axis`` picks the nominal measurement angle: "x" (angle 0, squeezing
-    axis) or "p" (angle pi/2). The density is even, strictly positive and
-    normalized; with ``delta = 0`` it collapses to a single Gaussian.
+    ``angle`` is the nominal measurement angle in radians: 0 is the squeezing
+    axis, pi/2 the anti-squeezing axis. The density is even, strictly positive
+    and normalized; with ``delta = 0`` it collapses to a single Gaussian.
     """
 
     params: StateParams
-    axis: str = "x"
+    angle: float = 0.0
 
     def __post_init__(self):
-        if self.axis not in _AXIS_OFFSET:
-            raise ValueError(f"axis must be 'x' or 'p', got {self.axis!r}")
+        check_angle(self.angle)
 
     def _node_variances(self):
         """Mixture component variances and weights for the angle average."""
-        offset = _AXIS_OFFSET[self.axis]
         if self.params.delta < _DELTA_FLOOR:
-            return np.array([rotated_variance(self.params, offset)]), np.array([1.0])
+            return np.array([rotated_variance(self.params, self.angle)]), np.array([1.0])
         t, w = _gh_nodes()
-        theta = np.sqrt(2.0) * self.params.delta * t + offset
+        theta = np.sqrt(2.0) * self.params.delta * t + self.angle
         return rotated_variance(self.params, theta), w
 
     def pdf(self, x):

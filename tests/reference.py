@@ -1,4 +1,7 @@
-"""Record-by-record, one-string and one-expression forms of fast paths, the references those paths are tested against bit for bit."""
+"""Earlier forms of rewritten paths, the references those paths are tested against bit for bit.
+
+Each is the path's record-by-record, one-string, one-expression or named-axis form.
+"""
 
 import json
 from pathlib import Path
@@ -8,7 +11,7 @@ import numpy as np
 from quadbin.binning import bin_indices
 from quadbin.data import _rng, _standard_normal
 from quadbin.detect import three_bin_ratio
-from quadbin.model import rotated_variance
+from quadbin.model import _DELTA_FLOOR, _gh_nodes, _interval_mass, rotated_variance
 
 
 def per_record_ratio(x, sigma: float, d: int) -> float:
@@ -84,3 +87,44 @@ def one_expression_blocks(mat: np.ndarray):
         m = np.count_nonzero(ca != cb)
         yield g + swapped
         yield g[:m, :m] - swapped[:m, :m]
+
+
+def axis_diffused_variance(params, axis: str) -> float:
+    """diffused_variance with its axis named "x" or "p", one branch per axis, the form before it took an angle."""
+    u = np.exp(-2.0 * params.delta**2)
+    if axis == "x":
+        mix = 0.5 * (np.exp(-2.0 * params.r) * (1.0 + u) + np.exp(2.0 * params.r) * (1.0 - u))
+    else:
+        mix = 0.5 * (np.exp(2.0 * params.r) * (1.0 + u) + np.exp(-2.0 * params.r) * (1.0 - u))
+    return float(params.loss + (1.0 - params.loss) * mix)
+
+
+def axis_bin_probabilities(params, axis: str, sigma: float, m) -> np.ndarray:
+    """QuadratureDistribution.bin_probabilities with its nodes shifted by the named axis's offset, the form before it
+    took an angle."""
+    offset = {"x": 0.0, "p": 0.5 * np.pi}[axis]
+    if params.delta < _DELTA_FLOOR:
+        v, w = np.array([rotated_variance(params, offset)]), np.array([1.0])
+    else:
+        t, w = _gh_nodes()
+        v = rotated_variance(params, np.sqrt(2.0) * params.delta * t + offset)
+    scale = sigma / np.sqrt(v)
+    ma = np.asarray(m, dtype=float)
+    return _interval_mass((ma[..., None] - 0.5) * scale, (ma[..., None] + 0.5) * scale) @ w
+
+
+def axis_quadrature_variance(state, axis: str) -> float:
+    """fock.quadrature_variance with its axis named "x" or "p", one branch per axis, the form before it took an
+    angle."""
+    mat = state.mat
+    n = np.arange(state.cutoff + 1)
+    mean_n = float(np.sum(np.diag(mat).real * n))
+    a1 = complex(np.sum(np.sqrt(n[1:]) * np.diag(mat, k=-1)))
+    a2 = complex(np.sum(np.sqrt(n[2:] * (n[2:] - 1.0)) * np.diag(mat, k=-2)))
+    if axis == "x":
+        mean = 2.0 * a1.real
+        second = 2.0 * a2.real + 2.0 * mean_n + 1.0
+    else:
+        mean = 2.0 * a1.imag
+        second = -2.0 * a2.real + 2.0 * mean_n + 1.0
+    return float(second - mean**2)

@@ -403,8 +403,8 @@ def fock_battery():
                 moment_tail = max(moment_tail, s.truncated_mass)
                 moment_err = max(
                     moment_err,
-                    abs(quadrature_variance(s, "x") - diffused_variance(p, "x")),
-                    abs(quadrature_variance(s, "p") - diffused_variance(p, "p")),
+                    abs(quadrature_variance(s) - diffused_variance(p)),
+                    abs(quadrature_variance(s, 0.5 * np.pi) - diffused_variance(p, 0.5 * np.pi)),
                 )
 
     ep_diffused = entanglement_potential(state_from_params(family(0.5), cutoff=10))

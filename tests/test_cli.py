@@ -171,6 +171,14 @@ class TestSimulate:
         code, payload, _ = run(capsys, "three-bin", "--in", str(out), "--bootstrap", "20")
         assert code == 0 and payload["analytic"] is None
 
+    @pytest.mark.parametrize("center", ["inf", "-inf", "nan"])
+    def test_non_finite_center_fails_before_any_draw(self, capsys, tmp_path, center):
+        out = tmp_path / "a.csv"
+        code, payload, err = run(capsys, "simulate", "--r", "0.5", "--n", "10", f"--center={center}", "--out", str(out))
+        assert (code, payload) == (1, None)
+        assert err["error"]["message"] == f"measurement angle must be finite, got {float(center)!r}"
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
     def test_out_naming_a_directory_is_a_data_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--r", "0.2", "--n", "10", "--out", ".")
         assert code == 2 and err["error"]["type"] == "IsADirectoryError"

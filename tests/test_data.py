@@ -123,7 +123,7 @@ class TestSampler:
     def test_p_axis_center(self):
         p = StateParams(0.5, 0.1, 0.2)
         d = sample_dataset(p, 100_000, seed=13, center=np.pi / 2)
-        assert biased_var(d.x) == pytest.approx(diffused_variance(p, "p"), rel=0.02)
+        assert biased_var(d.x) == pytest.approx(diffused_variance(p, 0.5 * np.pi), rel=0.02)
 
     def test_matches_model_distribution(self):
         # two-stage draws against the mixture CDF
@@ -131,8 +131,25 @@ class TestSampler:
             (StateParams(0.0, 0.0, 0.0), StateParams(1.04, 0.41, 0.15), StateParams(0.5, 0.3, 0.4))
         ):
             d = sample_dataset(p, 100_000, seed=100 + i)
-            ks = sps.kstest(d.x, QuadratureDistribution(p, "x").cdf)
+            ks = sps.kstest(d.x, QuadratureDistribution(p).cdf)
             assert ks.statistic <= 0.01
+
+    @pytest.mark.parametrize("center", [0.3, np.pi / 4, 1.0, 2.5])
+    def test_center_between_axes_has_the_model_variance(self, center):
+        p = StateParams(1.0409, 0.414, 0.15)
+        x = sample_dataset(p, 200_000, seed=31, center=center).x
+        dev2 = (x - x.mean()) ** 2
+        se = np.sqrt(((dev2 - dev2.mean()) ** 2).mean() / len(x))
+        assert abs(dev2.mean() - diffused_variance(p, center)) <= 5 * se
+
+    @pytest.mark.parametrize("center", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_center_before_any_draw(self, center, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr("quadbin.data._rng", no_draw)
+        with pytest.raises(ValueError, match=f"^measurement angle must be finite, got {center!r}$"):
+            sample_dataset(StateParams(0.1, 0.0, 0.0), 10, seed=1, center=center)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -349,7 +366,7 @@ class TestSelect:
         d = sample_dataset(p, 400_000, seed=8, phase_window=np.pi)
         kept = select_phase_window(d, np.pi / 2, 0.05)
         assert kept.n > 4000
-        assert biased_var(kept.x) == pytest.approx(diffused_variance(p, "p"), rel=0.05)
+        assert biased_var(kept.x) == pytest.approx(diffused_variance(p, 0.5 * np.pi), rel=0.05)
 
 
 class TestScanPipeline:
@@ -361,7 +378,7 @@ class TestScanPipeline:
         d = sample_dataset(p, 600_000, seed=42, phase_window=np.pi)
         kept = select_phase_window(inject_phase_noise(d, delta_e, seed=43), 0.0, 0.05)
         combined = StateParams(p.r, p.loss, np.sqrt(delta0**2 + delta_e**2))
-        target = diffused_variance(combined, "x")
+        target = diffused_variance(combined)
         v = biased_var(kept.x)
         se = target * np.sqrt(6.0 / kept.n)  # heavy-tailed variance estimate, generous scale
         assert abs(v - target) <= 3 * se

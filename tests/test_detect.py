@@ -48,7 +48,7 @@ VACUUM = QuadratureDistribution(StateParams(0.0, 0.0, 0.0))
 
 def pure_variance_half():
     # e^{-2r} = 0.5
-    return QuadratureDistribution(StateParams(0.5 * np.log(2.0), 0.0, 0.0), "x")
+    return QuadratureDistribution(StateParams(0.5 * np.log(2.0), 0.0, 0.0))
 
 
 class TestThreePoint:
@@ -62,7 +62,7 @@ class TestThreePoint:
 
     def test_thermal_like_no_false_positive(self):
         # variance 2 seen on the anti-squeezing axis
-        wide = QuadratureDistribution(StateParams(0.5 * np.log(2.0), 0.0, 0.0), "p")
+        wide = QuadratureDistribution(StateParams(0.5 * np.log(2.0), 0.0, 0.0), 0.5 * np.pi)
         assert three_point_R(wide, 1.0) == pytest.approx(np.exp(0.5), rel=1e-10)
         assert three_point_R(wide, 1.0) > 1.0
 
@@ -140,7 +140,7 @@ class TestAnalyticThreeBin:
     @pytest.mark.parametrize("delta", [0.15, 0.5])
     def test_small_bins_tend_to_the_three_point_ratio_at_second_order(self, s, delta):
         # bin size s/d at distance d puts the side bins at +-s; the error falls as sigma^2
-        dist = QuadratureDistribution(StateParams(1.0409, 0.414, delta), "x")
+        dist = QuadratureDistribution(StateParams(1.0409, 0.414, delta))
         exact = three_point_R(dist, s)
         errors = [abs(analytic_three_bin_R(dist, s / d, d) - exact) for d in (4, 8, 16, 32)]
         assert errors[-1] <= 5e-4

@@ -21,7 +21,7 @@ from quadbin.model import StateParams, diffused_variance, kurtosis_x
 
 def forward_summary(params: StateParams) -> MomentSummary:
     return MomentSummary(
-        diffused_variance(params, "x"), diffused_variance(params, "p"), kurtosis_x(params)
+        diffused_variance(params), diffused_variance(params, 0.5 * np.pi), kurtosis_x(params)
     )
 
 
@@ -105,8 +105,8 @@ class TestSummarize:
             vx.append(summ.var_x)
             vp.append(summ.var_p)
             kx.append(summ.kurt_x)
-        for values, target in ((vx, diffused_variance(params, "x")),
-                               (vp, diffused_variance(params, "p")),
+        for values, target in ((vx, diffused_variance(params)),
+                               (vp, diffused_variance(params, 0.5 * np.pi)),
                                (kx, kurtosis_x(params))):
             values = np.asarray(values)
             se = values.std(ddof=1) / np.sqrt(n_seeds)
@@ -188,8 +188,8 @@ class TestClosedFormInversion:
                     def equations(q):
                         p = unpack(q)
                         return [
-                            diffused_variance(p, "x") - target.var_x,
-                            diffused_variance(p, "p") - target.var_p,
+                            diffused_variance(p) - target.var_x,
+                            diffused_variance(p, 0.5 * np.pi) - target.var_p,
                             kurtosis_x(p) - target.kurt_x,
                         ]
 
@@ -222,8 +222,8 @@ class TestClosedFormInversion:
 class TestKnownDeltaInversion:
     def test_anchor_values(self):
         p = params_from_variances(10**-0.23, 10**0.70, 0.15)
-        assert diffused_variance(p, "x") == pytest.approx(10**-0.23, rel=1e-12)
-        assert diffused_variance(p, "p") == pytest.approx(10**0.70, rel=1e-12)
+        assert diffused_variance(p) == pytest.approx(10**-0.23, rel=1e-12)
+        assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(10**0.70, rel=1e-12)
         assert p.r == pytest.approx(1.040947785368045, abs=1e-12)
         assert p.loss == pytest.approx(0.41397934477554665, abs=1e-12)
 
@@ -231,7 +231,7 @@ class TestKnownDeltaInversion:
         truth = StateParams(0.5, 0.3, 0.25)
         via_K = estimate_params(forward_summary(truth))
         via_delta = params_from_variances(
-            diffused_variance(truth, "x"), diffused_variance(truth, "p"), truth.delta
+            diffused_variance(truth), diffused_variance(truth, 0.5 * np.pi), truth.delta
         )
         assert via_K.r == pytest.approx(via_delta.r, abs=1e-10)
         assert via_K.loss == pytest.approx(via_delta.loss, abs=1e-10)
@@ -259,12 +259,19 @@ class TestTargetSqueezing:
     def test_forward_consistency_with_diffusion(self):
         for target, loss, delta in ((0.589, 0.37, 0.15), (1.05, 0.41, 0.37), (0.8, 0.1, 0.2)):
             r = squeezing_for_target(target, loss, delta)
-            assert diffused_variance(StateParams(r, loss, delta), "x") == pytest.approx(target, rel=1e-10)
+            assert diffused_variance(StateParams(r, loss, delta)) == pytest.approx(target, rel=1e-10)
 
     def test_prefers_least_squeezing(self):
         # both quadratic roots are feasible here; the milder one is returned
         r = squeezing_for_target(10**-0.23, 0.37, 0.15)
         assert r == pytest.approx(0.650, abs=5e-3)
+
+    @pytest.mark.parametrize("delta", [26.0, 27.0, 40.0, 1e3])
+    def test_reaches_the_target_at_any_spread(self, delta):
+        # past delta^2 = 710 a cosh(delta^2) form overflows; u = e^{-2 delta^2} underflows to 0 instead
+        target = variance_from_db(1.0)
+        r = squeezing_for_target(target, 0.1, delta)
+        assert diffused_variance(StateParams(r, 0.1, delta)) == pytest.approx(target, rel=1e-14)
 
     def test_unreachable_target_rejected(self):
         with pytest.raises(EstimationError):

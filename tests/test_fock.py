@@ -26,7 +26,7 @@ from quadbin.fock import (
     state_from_params,
 )
 from quadbin.model import StateParams, diffused_variance
-from reference import one_expression_blocks
+from reference import axis_quadrature_variance, one_expression_blocks
 
 # the five (r, loss, delta) states of the Fock benchmark workload
 BENCH_STATES = [(1.0409, 0.414, 0.15), (1.0409, 0.414, 0.5), (0.4, 0.0, 0.0), (0.7, 0.6, 0.0), (0.3, 0.1, 0.0)]
@@ -93,8 +93,8 @@ class TestSqueezedVacuum:
         for r in (0.1, 0.3, 0.5):
             s = squeezed_vacuum_fock(r, cutoff=10)
             tol = 1e-4 if r <= 0.4 else 1e-3  # truncation grows with r
-            assert quadrature_variance(s, "x") == pytest.approx(np.exp(-2 * r), abs=tol)
-            assert quadrature_variance(s, "p") == pytest.approx(np.exp(2 * r), abs=20 * tol)
+            assert quadrature_variance(s) == pytest.approx(np.exp(-2 * r), abs=tol)
+            assert quadrature_variance(s, 0.5 * np.pi) == pytest.approx(np.exp(2 * r), abs=20 * tol)
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
@@ -218,9 +218,9 @@ class TestLossChannel:
 
     def test_variance_map(self):
         s = squeezed_vacuum_fock(0.3)
-        before = quadrature_variance(s, "x")
+        before = quadrature_variance(s)
         for loss in (0.2, 0.5):
-            after = quadrature_variance(apply_loss(s, loss), "x")
+            after = quadrature_variance(apply_loss(s, loss))
             assert after == pytest.approx(loss + (1 - loss) * before, abs=1e-10)
 
     def test_rejects_bad_loss(self):
@@ -294,8 +294,8 @@ class TestChannelAlgebra:
                 for delta in (0.0, 0.3):
                     p = StateParams(r, loss, delta)
                     s = state_from_params(p, cutoff=10)
-                    assert quadrature_variance(s, "x") == pytest.approx(diffused_variance(p, "x"), abs=1e-4)
-                    assert quadrature_variance(s, "p") == pytest.approx(diffused_variance(p, "p"), abs=1e-4)
+                    for angle in (0.0, 0.5 * np.pi):
+                        assert quadrature_variance(s, angle) == pytest.approx(diffused_variance(p, angle), abs=1e-4)
 
     def test_moment_deficit_at_cutoff_edge(self):
         # at r = 0.4 the weight above the cutoff contributes 1.9e-4 to the
@@ -303,8 +303,8 @@ class TestChannelAlgebra:
         # coherence), so consistency there is capped near 2e-4 at cutoff 10
         p = StateParams(0.4, 0.0, 0.0)
         s = state_from_params(p, cutoff=10)
-        assert quadrature_variance(s, "p") == pytest.approx(diffused_variance(p, "p"), abs=2.5e-4)
-        assert quadrature_variance(s, "x") == pytest.approx(diffused_variance(p, "x"), abs=1e-4)
+        assert quadrature_variance(s, 0.5 * np.pi) == pytest.approx(diffused_variance(p, 0.5 * np.pi), abs=2.5e-4)
+        assert quadrature_variance(s) == pytest.approx(diffused_variance(p), abs=1e-4)
 
 
 class TestBeamSplitter:
@@ -380,7 +380,7 @@ class TestEntanglementPotential:
     )
     def test_gaussian_states_match_closed_form(self, r, loss, expected):
         # at delta = 0 the state is Gaussian and EP = max(0, -1/2 log2 V_x)
-        closed = max(0.0, -0.5 * math.log2(diffused_variance(StateParams(r, loss, 0.0), "x")))
+        closed = max(0.0, -0.5 * math.log2(diffused_variance(StateParams(r, loss, 0.0))))
         assert closed == pytest.approx(expected, abs=5e-7)
         assert entanglement_potential(state_from_params(StateParams(r, loss, 0.0), cutoff=40)) == pytest.approx(
             closed, abs=1e-5
@@ -526,6 +526,55 @@ class TestTransposedBlocks:
         assert random_real_state(10)[0, 1] != 0.0
         mat = nudged_anchor(10)
         assert np.isrealobj(mat) and not np.array_equal(mat, mat.T) and not mat[0, 1::2].any()
+
+
+def random_complex_state(cutoff: int) -> np.ndarray:
+    """A random complex state with every coherence nonzero, so both <a> and <a^2> are complex."""
+    rng = np.random.default_rng(100 + cutoff)
+    x = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
+    mat = x @ x.conj().T
+    return mat / np.trace(mat).real
+
+
+def turned(mat: np.ndarray, phi: float) -> np.ndarray:
+    """The state turned by ``phi`` rad in phase space: rho[n, m] e^{-i phi (n - m)}."""
+    n = np.arange(len(mat))
+    return mat * np.exp(-1j * phi * (n[:, None] - n[None, :]))
+
+
+# the measurement angles between the axes that the angle-taking form is tested at
+BETWEEN_AXES = [0.3, np.pi / 4, 1.0, 2.5]
+
+
+class TestQuadratureAngles:
+    @pytest.mark.parametrize("angle", BETWEEN_AXES)
+    def test_matches_the_model_between_axes(self, angle):
+        for p in (StateParams(0.3, 0.2, 0.2), StateParams(0.5, 0.1, 0.4), StateParams(0.4, 0.6, 0.0)):
+            got = quadrature_variance(state_from_params(p, 30), angle)
+            assert got == pytest.approx(diffused_variance(p, angle), rel=1e-6)
+
+    @pytest.mark.parametrize("phi", [0.7, -1.3])
+    def test_turning_the_state_shifts_the_angle(self, phi):
+        for mat in (state_from_params(StateParams(0.5, 0.1, 0.4), 20).mat, random_complex_state(8)):
+            rotated = FockDensityMatrix(turned(mat, phi))
+            for angle in [0.0, 0.5 * np.pi, *BETWEEN_AXES]:
+                want = quadrature_variance(FockDensityMatrix(mat), angle + phi)
+                assert quadrature_variance(rotated, angle) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("axis, angle", [("x", 0.0), ("p", 0.5 * np.pi)])
+    def test_real_states_keep_the_named_axis_bits(self, axis, angle):
+        states = [state_from_params(StateParams(r, loss, delta), cutoff) for r in (0.0, 0.3, 1.0409)
+                  for loss in (0.0, 0.414) for delta in (0.0, 0.5) for cutoff in (2, 10, 30)]
+        states += [FockDensityMatrix(random_real_state(c)) for c in (1, 5, 20)]
+        states += [FockDensityMatrix(nudged_anchor(10))]
+        for s in states:
+            assert quadrature_variance(s, angle) == axis_quadrature_variance(s, axis)
+
+    @pytest.mark.parametrize("axis, angle", [("x", 0.0), ("p", 0.5 * np.pi)])
+    def test_complex_states_stay_within_rounding_of_the_named_axis(self, axis, angle):
+        for mat in (rotated_anchor(20), random_complex_state(8)):
+            s = FockDensityMatrix(mat)
+            assert quadrature_variance(s, angle) == pytest.approx(axis_quadrature_variance(s, axis), rel=1e-15)
 
 
 class TestSerialization:

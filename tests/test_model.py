@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
+from reference import axis_bin_probabilities, axis_diffused_variance
 
 from quadbin.model import (
+    GH_ORDER,
     QuadratureDistribution,
     StateParams,
     _ndtr,
+    check_angle,
     diffused_variance,
     kurtosis_x,
     rotated_variance,
@@ -48,8 +51,8 @@ class TestStateParams:
 
     def test_full_loss_gives_vacuum_statistics(self):
         p = StateParams(0.7, 1.0, 0.4)
-        assert diffused_variance(p, "x") == pytest.approx(1.0, abs=1e-14)
-        assert diffused_variance(p, "p") == pytest.approx(1.0, abs=1e-14)
+        assert diffused_variance(p) == pytest.approx(1.0, abs=1e-14)
+        assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(1.0, abs=1e-14)
         assert kurtosis_x(p) == pytest.approx(3.0, abs=1e-14)
 
 
@@ -84,18 +87,18 @@ class TestRotatedVariance:
 class TestClosedForms:
     def test_variance_delta_zero_limit(self):
         p = StateParams(0.5, 0.1, 0.0)
-        assert diffused_variance(p, "x") == pytest.approx(0.1 + 0.9 * np.exp(-1.0), rel=1e-12)
+        assert diffused_variance(p) == pytest.approx(0.1 + 0.9 * np.exp(-1.0), rel=1e-12)
 
     def test_variance_frozen_oracle_value(self):
         p = StateParams(0.3, 0.2, 0.2)
-        assert diffused_variance(p, "x") == pytest.approx(ORACLE_VAR_X_030_020_020, abs=1e-12)
-        assert diffused_variance(p, "p") == pytest.approx(ORACLE_VAR_P_030_020_020, abs=1e-12)
+        assert diffused_variance(p) == pytest.approx(ORACLE_VAR_X_030_020_020, abs=1e-12)
+        assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(ORACLE_VAR_P_030_020_020, abs=1e-12)
 
     def test_large_delta_symmetrizes_both_axes(self):
         p = StateParams(0.4, 0.15, 60.0)
         limit = p.loss + (1 - p.loss) * np.cosh(2 * p.r)
-        assert diffused_variance(p, "x") == pytest.approx(limit, rel=1e-12)
-        assert diffused_variance(p, "p") == pytest.approx(limit, rel=1e-12)
+        assert diffused_variance(p) == pytest.approx(limit, rel=1e-12)
+        assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(limit, rel=1e-12)
 
     def test_kurtosis_gaussian_limits(self):
         assert kurtosis_x(StateParams(0.7, 0.3, 0.0)) == pytest.approx(3.0, abs=1e-14)
@@ -113,21 +116,21 @@ class TestClosedForms:
                     vx = angle_average(lambda th: rotated_variance(p, th), delta)
                     vp = angle_average(lambda th: rotated_variance(p, th + np.pi / 2), delta)
                     k = angle_average(lambda th: 3.0 * rotated_variance(p, th) ** 2, delta) / vx**2
-                    assert diffused_variance(p, "x") == pytest.approx(vx, rel=1e-10)
-                    assert diffused_variance(p, "p") == pytest.approx(vp, rel=1e-10)
+                    assert diffused_variance(p) == pytest.approx(vx, rel=1e-10)
+                    assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(vp, rel=1e-10)
                     assert kurtosis_x(p) == pytest.approx(k, rel=1e-10)
 
     def test_squeezed_axis_never_exceeds_antisqueezed(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             p = StateParams(rng.uniform(0.01, 1.2), rng.uniform(0, 0.95), rng.uniform(0, 1.0))
-            assert diffused_variance(p, "x") <= diffused_variance(p, "p") + 1e-14
+            assert diffused_variance(p) <= diffused_variance(p, 0.5 * np.pi) + 1e-14
 
     def test_uncertainty_product_at_least_one(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             p = StateParams(rng.uniform(0, 1.5), rng.uniform(0, 1), rng.uniform(0, 1.2))
-            assert diffused_variance(p, "x") * diffused_variance(p, "p") >= 1.0 - 1e-12
+            assert diffused_variance(p) * diffused_variance(p, 0.5 * np.pi) >= 1.0 - 1e-12
 
     def test_kurtosis_at_least_three(self):
         rng = np.random.default_rng(6)
@@ -139,21 +142,21 @@ class TestClosedForms:
 class TestPdf:
     def test_delta_zero_is_single_gaussian(self):
         p = StateParams(0.4, 0.2, 0.0)
-        dist = QuadratureDistribution(p, "x")
+        dist = QuadratureDistribution(p)
         v = rotated_variance(p, 0.0)
         x = np.linspace(-4, 4, 33)
         expected = np.exp(-(x**2) / (2 * v)) / np.sqrt(2 * np.pi * v)
         assert np.allclose(dist.pdf(x), expected, rtol=1e-12)
 
     def test_even_in_x(self):
-        dist = QuadratureDistribution(StateParams(0.7, 0.1, 0.3), "x")
+        dist = QuadratureDistribution(StateParams(0.7, 0.1, 0.3))
         x = np.random.default_rng(8).uniform(0, 8, 100)
         assert np.allclose(dist.pdf(x), dist.pdf(-x), rtol=1e-12)
 
     def test_normalization(self):
         for params in (StateParams(0.0, 0.0, 0.0), StateParams(0.8, 0.2, 0.4), StateParams(1.0, 0.05, 0.15)):
-            for axis in ("x", "p"):
-                dist = QuadratureDistribution(params, axis)
+            for angle in (0.0, 0.5 * np.pi):
+                dist = QuadratureDistribution(params, angle)
                 total, _ = integrate.quad(dist.pdf, -20, 20, limit=200)
                 assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -169,7 +172,7 @@ class TestPdf:
 
     def test_p_axis_uses_rotated_variance(self):
         p = StateParams(0.5, 0.0, 0.0)
-        assert diffused_variance(p, "p") == pytest.approx(np.exp(1.0), rel=1e-12)
+        assert diffused_variance(p, 0.5 * np.pi) == pytest.approx(np.exp(1.0), rel=1e-12)
 
 
 class TestStandardNormalCdf:
@@ -238,6 +241,50 @@ class TestBinProbability:
         with pytest.raises(ValueError, match="positive and finite"):
             dist.bin_probabilities(np.inf, [-1, 0, 1])
 
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            QuadratureDistribution(StateParams(0.1, 0.0, 0.0), "q")
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match=f"measurement angle must be finite, got {angle!r}"):
+            QuadratureDistribution(StateParams(0.1, 0.0, 0.0), angle)
+        with pytest.raises(ValueError, match="measurement angle must be finite"):
+            check_angle(angle)
+
+    def test_check_angle_returns_a_finite_angle(self):
+        assert check_angle(-7.5) == -7.5 and check_angle(0.0) == 0.0
+
+
+# the measurement angles between the axes that the angle-taking forms are tested at
+BETWEEN_AXES = [0.3, np.pi / 4, 1.0, 2.5]
+
+# an (r, loss, delta) grid with the delta = 0 single-Gaussian case and a spread past pi
+GRID = [StateParams(r, loss, delta) for r in (0.0, 0.3, 1.0409) for loss in (0.0, 0.414, 1.0)
+        for delta in (0.0, 0.15, 0.5, 2.0)]
+
+
+class TestAngles:
+    @pytest.mark.parametrize("angle", BETWEEN_AXES)
+    def test_diffused_variance_is_the_angle_average(self, angle):
+        t, w = np.polynomial.hermite.hermgauss(GH_ORDER)
+        for p in (StateParams(0.3, 0.2, 0.2), StateParams(1.0409, 0.414, 0.15), StateParams(0.8, 0.1, 0.6)):
+            nodes = rotated_variance(p, angle + np.sqrt(2.0) * p.delta * t) @ w / np.sqrt(np.pi)
+            assert diffused_variance(p, angle) == pytest.approx(nodes, rel=1e-12)
+
+    @pytest.mark.parametrize("angle", BETWEEN_AXES)
+    def test_distribution_variance_is_the_diffused_variance(self, angle):
+        dist = QuadratureDistribution(StateParams(0.7, 0.25, 0.3), angle)
+        second, _ = integrate.quad(lambda x: x * x * dist.pdf(x), -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
+        assert second == pytest.approx(diffused_variance(dist.params, angle), rel=1e-9)
+
+    def test_angle_is_pi_periodic_and_even(self):
+        p = StateParams(0.6, 0.2, 0.3)
+        for angle in BETWEEN_AXES:
+            assert diffused_variance(p, angle + np.pi) == pytest.approx(diffused_variance(p, angle), rel=1e-14)
+            assert diffused_variance(p, -angle) == diffused_variance(p, angle)
+
+    @pytest.mark.parametrize("axis, angle", [("x", 0.0), ("p", 0.5 * np.pi)])
+    def test_axes_keep_the_named_axis_bits(self, axis, angle):
+        m = np.arange(-12, 13)
+        for p in GRID:
+            assert diffused_variance(p, angle) == axis_diffused_variance(p, axis)
+            for sigma in (0.3, 1.0, 2.2):
+                got = QuadratureDistribution(p, angle).bin_probabilities(sigma, m)
+                assert np.array_equal(got, axis_bin_probabilities(p, axis, sigma, m))
