@@ -7,7 +7,7 @@ its value must pass, if any. COMMANDS lists each subcommand's options and defaul
 overrides. --config values become flag tokens before the explicit flags, so one
 argparse parser converts and checks every value, and a flag wins over the file.
 main runs every option rule before a command reads input; a command checks only
-the bootstrap plan, the phase window, --steps and --n-list, before its read.
+the bootstrap plan, select's window, --steps and --n-list, before its read.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure; a package
 error type carries its own, and an error writes one JSON object to stderr.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,10 +30,10 @@ from .data import (
     check_seed,
     check_selection_window,
     inject_phase_noise,
+    population,
     read_csv,
     sample_dataset,
     select_phase_window,
-    simulation_params,
     write_csv,
 )
 from .detect import MIN_MOMENT_ORDER, analytic_three_bin_R, check_bin_distance, check_moment_order
@@ -47,7 +48,7 @@ from .estimate import (
     variance_from_db,
 )
 from .fock import DEFAULT_CUTOFF, check_cutoff, entanglement_potential, state_from_params
-from .model import QuadratureDistribution, StateParams
+from .model import StateParams
 from .stats import (
     REPLACEMENT,
     SUBSAMPLE,
@@ -68,6 +69,11 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token is a value, not a flag, when float() reads it after the minus: -1e-3, -.5e1, -inf and -nan too
+        self._negative_number_matcher = re.compile(r"^-(?:\d|\.\d|inf(?:inity)?$|nan$)", re.I)
+
     # argparse exits 2 on bad flags; route through the package's exit taxonomy instead
     def error(self, message):
         raise UsageError(message)
@@ -161,8 +167,7 @@ def _ratio_reports(cfg: dict, sigmas: list[float]) -> tuple[list[ViolationReport
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     reports, points = detector_reports(data, spec, sigmas, cfg["d"])
-    params = simulation_params(data.meta)
-    dist = QuadratureDistribution(params) if params is not None else None
+    dist = population(data.meta)
     return reports, [analytic_three_bin_R(dist, s, cfg["d"]) if dist is not None else None for s in sigmas], points
 
 
@@ -278,13 +283,13 @@ def cmd_compare(cfg: dict) -> dict:
     spec = _bootstrap_spec(cfg)
     data = read_csv(cfg["in_path"])
     reports = compare_methods(data, cfg["sigma"], cfg["d"], orders, spec)
-    params = simulation_params(data.meta)
-    ep = entanglement_potential(state_from_params(params, cfg["cutoff"])) if params is not None else None
+    dist = population(data.meta)
+    ep = entanglement_potential(state_from_params(dist.params, cfg["cutoff"])) if dist is not None else None
     if cfg["out"]:
         columns = ["method", "sigma", "d", "n", "mean", "std", "v", "n_flagged"]
         _write_table(cfg["out"], columns, ({**rep.params, **rep.to_json_dict()} for rep in reports))
     return {
-        "delta": params.delta if params is not None else None,
+        "delta": dist.params.delta if dist is not None else None,
         "reports": [rep.to_json_dict() for rep in reports],
         "ep": ep,
     }
@@ -329,7 +334,7 @@ OPTIONS = {
     "n": (int, 10_000, "number of records"),
     "seed": (int, 0, "master seed", check_seed),
     "phase_window": (float, 0.0, "half-width of a uniform phase scan (rad)", check_phase_window),
-    "center": (float, 0.0, "nominal measurement phase (rad)"),
+    "center": (float, 0.0, "simulate: nominal measurement phase; select: center of the kept window (rad)"),
     "sigma": (float, 1.0, "bin width", check_bin_size),
     "d": (int, 1, "bin distance", check_bin_distance),
     "sigma_from": (float, 0.2, "first bin width of the sweep", check_bin_size),
@@ -455,9 +460,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except QuadbinError as exc:
         return _fail(exc.exit_code, exc)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error here is a --config file that is not UTF-8
         return _fail(EXIT_DATA, exc)
-    except (np.linalg.LinAlgError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, OverflowError, MemoryError) as exc:
         return _fail(EXIT_NUMERIC, exc)
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)

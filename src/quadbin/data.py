@@ -47,7 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CsvFormatError
-from .model import StateParams, check_angle, rotated_variance
+from .model import QuadratureDistribution, StateParams, check_angle, rotated_variance
 
 __all__ = [
     "Dataset",
@@ -60,7 +60,7 @@ __all__ = [
     "select_phase_window",
     "read_csv",
     "write_csv",
-    "simulation_params",
+    "population",
 ]
 
 
@@ -316,19 +316,18 @@ def select_phase_window(data: Dataset, center: float, half_width: float) -> Data
     return Dataset(data.theta[keep], data.x[keep], meta, _adopt=True)
 
 
-def simulation_params(meta: Mapping) -> StateParams | None:
-    """Forward-model parameters of a plain simulated dataset, if available.
+def population(meta: Mapping) -> QuadratureDistribution | None:
+    """The distribution a plain simulated dataset was drawn from: its state at its measurement angle ``center``.
 
-    Returns None for ingested or transformed datasets: after injection or
-    selection the stored parameters no longer describe the record stream. A
-    phase scan gets None too. The model takes any measurement angle, so a
-    nonzero center could be described; it gets None only so that the outputs
-    computed for centred files stay byte-identical.
+    None for an ingested or transformed dataset, whose stored parameters no longer describe the records
+    after injection or selection, for a phase scan, and for a sidecar that lacks a key or holds a value
+    the model rejects, such as a non-finite center.
     """
-    if meta.get("source") != "simulated" or meta.get("phase_window") != 0.0 or meta.get("center") != 0.0:
+    if meta.get("source") != "simulated" or meta.get("phase_window") != 0.0:
         return None
     try:
-        return StateParams(float(meta["r"]), float(meta["loss"]), float(meta["delta"]))
+        params = StateParams(float(meta["r"]), float(meta["loss"]), float(meta["delta"]))
+        return QuadratureDistribution(params, float(meta["center"]))
     except (KeyError, TypeError, ValueError):
         return None
 

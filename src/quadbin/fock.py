@@ -15,11 +15,10 @@ transpose, so each parity block splits again into an exchange-symmetric and an
 exchange-antisymmetric block (441, 400, 420 and 420 states at cutoff 40).
 Every block is gathered straight from the single-mode matrix, never from a
 two-mode one (``beam_split_with_vacuum`` and ``partial_transpose`` build those
-as the tests' reference), through one index array and scaled in place: a real
-state at cutoff 60 solves in about 0.15 s, some 25 ms of it the gather
-(2-vCPU Xeon, OpenBLAS), and a complex or inexactly symmetric matrix passed in
-by a caller is solved on its parity blocks alone. A quadrature is named by its
-measurement angle in radians, as in ``model``.
+as the tests' reference), through one index array and scaled in place; a
+complex or inexactly symmetric matrix passed in by a caller is solved on its
+parity blocks alone. A quadrature is named by its measurement angle in
+radians, as in ``model``.
 """
 
 from __future__ import annotations

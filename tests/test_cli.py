@@ -29,11 +29,17 @@ from quadbin.data import (
     select_phase_window,
     write_csv,
 )
-from quadbin.detect import check_bin_distance, check_moment_order, moment_matrix_from_moments, normally_ordered_moments
+from quadbin.detect import (
+    analytic_three_bin_R,
+    check_bin_distance,
+    check_moment_order,
+    moment_matrix_from_moments,
+    normally_ordered_moments,
+)
 from quadbin.errors import EstimationError
 from quadbin.estimate import db_from_variance, estimate_params, params_from_variances, summarize
 from quadbin.fock import check_cutoff
-from quadbin.model import StateParams
+from quadbin.model import QuadratureDistribution, StateParams
 from quadbin.stats import REPLACEMENT, SUBSAMPLE, BootstrapSpec, resample_indices
 
 ANCHOR = StateParams(1.0409, 0.414, 0.15)
@@ -171,13 +177,31 @@ class TestSimulate:
         code, payload, _ = run(capsys, "three-bin", "--in", str(out), "--bootstrap", "20")
         assert code == 0 and payload["analytic"] is None
 
-    @pytest.mark.parametrize("center", ["inf", "-inf", "nan"])
-    def test_non_finite_center_fails_before_any_draw(self, capsys, tmp_path, center):
+    @pytest.mark.parametrize("center", ["inf", "-inf", "nan", "-NaN", "-Infinity"])
+    @pytest.mark.parametrize("joined", [True, False], ids=["joined", "spaced"])
+    def test_non_finite_center_fails_before_any_draw(self, capsys, tmp_path, center, joined):
         out = tmp_path / "a.csv"
-        code, payload, err = run(capsys, "simulate", "--r", "0.5", "--n", "10", f"--center={center}", "--out", str(out))
+        flag = [f"--center={center}"] if joined else ["--center", center]
+        code, payload, err = run(capsys, "simulate", "--r", "0.5", "--n", "10", *flag, "--out", str(out))
         assert (code, payload) == (1, None)
         assert err["error"]["message"] == f"measurement angle must be finite, got {float(center)!r}"
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("center", "-1e-3"), ("center", "-.5e1"), ("center", "-1_0"), ("target_db", "-2e0"),
+                       ("target_db", "-2.3E-1")],
+    )
+    def test_negative_value_in_any_float_spelling_follows_its_flag(self, capsys, tmp_path, key, value):
+        # argparse's own rule takes only -1 and -0.5 style numbers as values; every spelling float() reads works here
+        amplitude = [] if key == "target_db" else ["--r", "0.5"]
+        argv = ["simulate", *amplitude, "--n", "10", "--out", str(tmp_path / "a.csv")]
+        code, spaced, _ = run(capsys, *argv, _flag(key), value)
+        assert code == 0 and spaced["config"][key] == float(value)
+        assert run(capsys, *argv, f"{_flag(key)}={value}") == (0, spaced, None)
+
+    def test_a_flag_like_path_still_needs_the_joined_form(self, capsys):
+        code, _, err = run(capsys, "simulate", "--r", "0.3", "--out", "-x.csv")
+        assert code == 1 and err["error"]["message"] == "argument --out: expected one argument"
 
     def test_out_naming_a_directory_is_a_data_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--r", "0.2", "--n", "10", "--out", ".")
@@ -197,6 +221,17 @@ class TestThreeBinCommand:
         assert payload["nonclassical"] is True
         assert payload["analytic"] is not None
         assert abs(payload["r_mean"] - payload["analytic"]) < 6 * payload["r_std"]
+
+    @pytest.mark.parametrize("center", [0.3, np.pi / 4, np.pi / 2, 2.5])
+    def test_analytic_is_the_population_at_the_file_center(self, capsys, tmp_path, center):
+        path = tmp_path / "d.csv"
+        argv = ["--r", repr(ANCHOR.r), "--loss", repr(ANCHOR.loss), "--delta", repr(ANCHOR.delta)]
+        assert run(capsys, "simulate", *argv, "--n", "200000", "--seed", "21", "--center", repr(center),
+                   "--out", str(path))[0] == 0
+        code, payload, _ = run(capsys, "three-bin", "--in", str(path), "--bootstrap", "50", "--seed", "8")
+        assert code == 0
+        assert payload["analytic"] == analytic_three_bin_R(QuadratureDistribution(ANCHOR, center), 1.0, 1)
+        assert abs(payload["r_point"] - payload["analytic"]) < 5 * payload["r_std"]
 
     def test_missing_file_is_a_data_error(self, capsys):
         code, _, err = run(capsys, "three-bin", "--in", "/nonexistent.csv")
@@ -583,6 +618,36 @@ class TestEpCommand:
         assert code == 1 and err["error"]["exit_code"] == 1
 
 
+NO_MEMORY = "Unable to allocate 8.00 TiB for an array with shape (11, 100000000000)"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(NO_MEMORY)
+
+
+class TestOutOfMemory:
+    """An array too large to allocate is a numeric failure with one JSON error, never a traceback.
+
+    The library call that would allocate it is patched to raise, so no test asks for the memory.
+    """
+
+    @pytest.mark.parametrize(
+        "argv", [["moments", "--in", "{x}"], ["three-bin", "--in", "{x}", "--mode", REPLACEMENT]], ids=["moments", "three-bin"],
+    )
+    def test_resampling(self, capsys, monkeypatch, small_files, argv):
+        monkeypatch.setattr("quadbin.stats.resample_values", _out_of_memory)
+        code, payload, err = run(capsys, *(arg.format(**small_files) for arg in argv))
+        assert (code, payload) == (3, None)
+        assert err["error"] == {"type": "MemoryError", "message": NO_MEMORY, "exit_code": 3}
+
+    def test_simulate_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("quadbin.cli.sample_dataset", _out_of_memory)
+        out = tmp_path / "a.csv"
+        code, payload, err = run(capsys, "simulate", "--r", "0.5", "--n", "10", "--out", str(out))
+        assert (code, payload, err["error"]["exit_code"]) == (3, None, 3)
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
 class TestCompareCommand:
     def test_large_diffusion_defeats_the_variance_route_only(self, capsys, tmp_path):
         anchor = params_from_variances(10**-0.23, 10**0.70, 0.15)
@@ -603,6 +668,18 @@ class TestCompareCommand:
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert table[0] == "method,sigma,d,n,mean,std,v,n_flagged"
         assert len(table) == 4
+
+    def test_centred_file_has_the_state_of_a_center_0_file(self, capsys, tmp_path):
+        # the entanglement potential and delta belong to the state, whichever quadrature was measured
+        answers = []
+        for center in ("0", "1.5707963267948966", "-1e-3"):
+            path = tmp_path / "d.csv"
+            run(capsys, "simulate", "--r", "0.5", "--loss", "0.2", "--delta", "0.3", "--n", "2000", "--seed", "6",
+                "--center", center, "--out", str(path))
+            code, payload, _ = run(capsys, "compare", "--in", str(path), "--n-list", "2", "--bootstrap", "20")
+            assert code == 0 and payload["ep"] is not None
+            answers.append((payload["ep"], payload["delta"]))
+        assert answers[0] == answers[1] == answers[2] and answers[0][1] == 0.3
 
     def test_empty_order_list_is_a_usage_error(self, capsys, small_files):
         code, _, err = run(capsys, "compare", "--in", small_files["x"], "--n-list", ",", "--bootstrap", "5")
@@ -697,6 +774,15 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert code == 1
         assert_one_json_answer(code, captured.out, captured.err)
+
+    def test_config_that_is_not_utf8_is_a_data_error(self, capsys, tmp_path, small_files):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"sigma": 1\xff}')
+        code, payload, err = run(capsys, "three-bin", "--in", small_files["x"], "--config", str(cfg))
+        assert (code, payload) == (2, None)
+        assert err["error"]["type"] == "UnicodeDecodeError" and err["error"]["exit_code"] == 2
+        cfg.write_text('{"sigma": 1,}')  # UTF-8 text that is not JSON stays a usage error
+        assert run(capsys, "three-bin", "--in", small_files["x"], "--config", str(cfg))[0] == 1
 
     def test_config_takes_flag_text_or_a_json_number(self, capsys, tmp_path, small_files):
         cfg = tmp_path / "cfg.json"

@@ -24,10 +24,10 @@ from quadbin.data import (
     check_phase_window,
     check_selection_window,
     inject_phase_noise,
+    population,
     read_csv,
     sample_dataset,
     select_phase_window,
-    simulation_params,
     write_csv,
 )
 from quadbin.errors import CsvFormatError
@@ -177,14 +177,22 @@ class TestSampler:
         p = StateParams(0.3, 0.2, 0.1)
         d = sample_dataset(p, 10, seed=3)
         assert d.meta["source"] == "simulated"
-        assert simulation_params(d.meta) == p
+        assert population(d.meta) == QuadratureDistribution(p)
 
-    @pytest.mark.parametrize("window, center", [(np.pi, 0.0), (0.0, np.pi / 2), (0.3, 0.1)])
-    def test_scan_or_rotated_file_has_no_x_population(self, window, center):
-        # the stored (r, loss, delta) describe the x quadrature; a scan or a center measures another distribution
-        d = sample_dataset(StateParams(0.3, 0.2, 0.1), 10, seed=3, phase_window=window, center=center)
-        assert simulation_params(d.meta) is None
-        assert simulation_params({**d.meta, "phase_window": 0.0, "center": -0.0}) == StateParams(0.3, 0.2, 0.1)
+    @pytest.mark.parametrize("window, center", [(np.pi, 0.0), (0.3, 0.1)])
+    def test_scan_file_has_no_population(self, window, center):
+        # a scan spreads the records over a window of angles, which no one measurement angle describes
+        p = StateParams(0.3, 0.2, 0.1)
+        d = sample_dataset(p, 10, seed=3, phase_window=window, center=center)
+        assert population(d.meta) is None
+        assert population({**d.meta, "phase_window": 0.0}) == QuadratureDistribution(p, center)
+
+    @pytest.mark.parametrize("center", [np.pi / 2, 0.3, 2.5, -1e-3, -0.0])
+    def test_rotated_file_has_the_population_at_its_center(self, center):
+        p = StateParams(0.3, 0.2, 0.1)
+        dist = population(sample_dataset(p, 10, seed=3, center=center).meta)
+        assert dist == QuadratureDistribution(p, center)
+        assert math.copysign(1.0, dist.angle) == math.copysign(1.0, center)
 
 
 def _ndtri_edge_points() -> np.ndarray:
@@ -283,7 +291,7 @@ class TestInject:
         got = noisy.theta.var() - d.theta.var()
         se = 0.3**2 * np.sqrt(2.0 / d.n) * 3  # 3 sigma on the added variance
         assert abs(got - 0.09) <= 3 * se
-        assert simulation_params(noisy.meta) is None
+        assert population(noisy.meta) is None
 
     def test_deterministic(self):
         d = sample_dataset(StateParams(0.2, 0.0, 0.1), 1000, seed=1)
@@ -346,6 +354,10 @@ class TestSelect:
         d = Dataset([1.0, 2.0], [0.0, 0.0])
         kept = select_phase_window(d, 0.0, 0.01)
         assert kept.n == 0 and kept.meta["empty_selection"]
+
+    def test_selected_file_has_no_population(self):
+        d = sample_dataset(StateParams(0.3, 0.2, 0.1), 100, seed=3, center=0.4)
+        assert population(select_phase_window(d, 0.4, 0.05).meta) is None
 
     @pytest.mark.parametrize("center, half_width", [(np.inf, 0.1), (np.nan, 0.1), (0.0, np.inf)])
     def test_rejects_nonfinite_window(self, center, half_width):
@@ -475,7 +487,25 @@ class TestCsv:
         path.write_text("theta,x\n0.0,0.5\n")
         d = read_csv(path)
         assert d.meta["source"] == "ingested"
-        assert simulation_params(d.meta) is None
+        assert population(d.meta) is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("center", None), ("center", math.nan), ("center", -math.inf), ("center", "x"), ("r", None), ("loss", 2.0)],
+        ids=["no-center", "center-nan", "center-minus-inf", "center-text", "no-r", "loss-2"],
+    )
+    def test_sidecar_it_cannot_read_has_no_population(self, tmp_path, key, value):
+        # None drops the key; a JSON NaN or -Infinity reads back as that float, which check_angle rejects
+        path = tmp_path / "a.csv"
+        write_csv(sample_dataset(StateParams(0.3, 0.2, 0.1), 10, seed=3, center=0.7), path)
+        sidecar = path.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        assert population(read_csv(path).meta) is None
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
@@ -564,7 +594,7 @@ class TestBlockWrite:
         assert not (tmp_path / "a.meta.json").exists()
         back = read_csv(path)
         assert back == Dataset(new.theta[:4], new.x[:4], {"source": "ingested", "path": str(path)})
-        assert simulation_params(back.meta) is None
+        assert population(back.meta) is None
 
 
 def traced_peak(fn, *args):
